@@ -1,0 +1,16 @@
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(BENCH))
+sys.path.insert(0, str(BENCH.parent / "src"))
+
+
+@pytest.fixture(scope="session")
+def dm():
+    """The program's modules, as the benchmark reaches them."""
+    import run
+
+    return run.import_program()

@@ -1,6 +1,6 @@
 """Run one benchmark workload and print its result as one JSON line.
 
-    python3 bench/run.py --workload molecule-decimate --seed 1 --seconds 20 --trace 0
+    python3 bench/run.py --workload molecule-decimate --seed 1 --seconds 60 --trace 0
 
 Run from the repository root: the program is imported from ``src/``.
 With ``--trace 0`` the result holds the end-to-end metrics; with
@@ -38,7 +38,7 @@ from workloads import KINDS, WORKLOADS  # noqa: E402
 ROOT = Path.cwd()
 SRC = ROOT / "src"
 OUT = ROOT / ".bench_out"
-SETUP_REPEATS = 15
+SETUP_REPEATS = 20
 MODULES = ("cli", "costs", "decimate", "errors", "gb", "grid", "io", "mesh",
            "quadrics", "report", "shapes")
 
@@ -119,16 +119,24 @@ def run_rounds(workload, dm, inputs, seconds, tracer=None):
 
 
 def end_to_end(rounds, setup_s, rss_mb):
+    """The end-to-end metrics of the untraced rounds.
+
+    Times are totals over the whole run divided by what they timed (the
+    round count, or the collapses), not medians over rounds: the host's
+    speed flips between a fast and a slow state every second or so, and
+    a median of the five to fifteen samples a run holds jumps between
+    the two, where a total averages them."""
     values = {
         "setup_s": setup_s,
-        "wall_s": statistics.median(r.wall for r in rounds),
-        "energy_s": statistics.median(r.energy_s for r in rounds),
+        "wall_s": statistics.fmean(r.wall for r in rounds),
+        "energy_s": statistics.fmean(r.energy_s for r in rounds),
         "peak_rss_mb": rss_mb,
         "gpol_drift": rounds[0].drift,
     }
     for kind in KINDS:
-        rates = [r.rates[kind] for r in rounds if kind in r.rates]
-        values[f"collapses_per_s.{kind}"] = statistics.median(rates) if rates else 0.0
+        done = [r.work[kind] for r in rounds if kind in r.work]
+        seconds = sum(t for _, t in done)
+        values[f"collapses_per_s.{kind}"] = sum(c for c, _ in done) / seconds if done else 0.0
     return {name: {"value": values[name], "unit": unit} for name, unit in END_TO_END}
 
 
@@ -187,8 +195,8 @@ def main(argv=None):
             metrics = end_to_end(plain, setup_s, rss_mb)
         else:
             from tracing import g_pol_peak_mb, layer_metrics
-            overhead = (statistics.median(r.wall for r in traced)
-                        - statistics.median(r.wall for r in plain))
+            overhead = (statistics.fmean(r.wall for r in traced)
+                        - statistics.fmean(r.wall for r in plain))
             metrics = layer_metrics(tracer, len(traced), parse_s, overhead,
                                     g_pol_peak_mb(tracer, dm.gb.g_pol))
             trace_dir = OUT / "traces"

@@ -19,12 +19,10 @@ import checks
 import workloads
 
 TINY = {
-    "molecule-decimate": lambda: workloads.MoleculeDecimate(level=2, n_atoms=20, fraction=0.75),
-    "sphere-validate": lambda: workloads.SphereValidate(segments=8, rings=9, n_atoms=4, target=64),
+    "molecule-decimate": lambda: workloads.MoleculeDecimate(
+        level=3, n_atoms=50, crowd=60, fraction=0.9),
     "compare-sweep": lambda: workloads.CompareSweep(
         level=2, n_atoms=5, sweeps=(("qe,vol,gb_qe", "75%,50%"), ("pb,gb", "75%"))),
-    "energy-scaling": lambda: workloads.EnergyScaling(
-        level=3, counts=(5, 10), target=1200, drift_atoms=10),
 }
 
 
@@ -44,8 +42,8 @@ def test_tiny_workload_passes_its_checks(dm, name, tmp_path):
     workload, inputs, rnd = run_tiny(dm, name, tmp_path)
     assert rnd.failed == 0, rnd.errors
     assert rnd.attempted > 0
-    assert set(rnd.rates) == set(workloads.KINDS)
-    assert all(rate > 0 for rate in rnd.rates.values())
+    assert set(rnd.work) == set(workloads.KINDS)
+    assert all(c > 0 and t > 0 for c, t in rnd.work.values())
     assert rnd.energy_s > 0 and rnd.drift > 0
     assert workload.check(dm, inputs, rnd) == []
     again = workload.round(dm, inputs)
@@ -57,9 +55,9 @@ def test_tiny_workload_passes_its_checks(dm, name, tmp_path):
 
 @pytest.fixture(scope="module")
 def decimated(dm, tmp_path_factory):
-    """A tiny molecule-decimate round: (inputs, round)."""
-    _, inputs, rnd = run_tiny(dm, "molecule-decimate", tmp_path_factory.mktemp("mol"))
-    return inputs, rnd
+    """A tiny molecule-decimate round: ((mesh, the molecule's atoms), round)."""
+    workload, (mesh, crowd), rnd = run_tiny(dm, "molecule-decimate", tmp_path_factory.mktemp("mol"))
+    return (mesh, crowd[:workload.n_atoms]), rnd
 
 
 def audit(dm, decimated, kind, records=None, out=None, target=None):
@@ -157,8 +155,8 @@ def test_energy_check_catches_wrong_radius_and_energy(dm, decimated):
     assert any("G_pol" in f for f in fails)
 
 
-def test_energy_scaling_catches_order_dependent_g_pol(dm, tmp_path, monkeypatch):
-    workload, inputs, rnd = run_tiny(dm, "energy-scaling", tmp_path)
+def test_molecule_check_catches_order_dependent_g_pol(dm, tmp_path, monkeypatch):
+    workload, inputs, rnd = run_tiny(dm, "molecule-decimate", tmp_path)
     real = dm.gb.g_pol
     monkeypatch.setattr(dm.gb, "g_pol",
                         lambda atoms, *a, **k: real(atoms, *a, **k) + 1e-12 * atoms[0].center[0])

@@ -1,4 +1,4 @@
-"""The benchmark's four workloads.
+"""The benchmark's two workloads.
 
 Each workload makes its input files from a seed, reads them through
 ``decimesh.io``, runs timed rounds of the same operations, and checks
@@ -18,7 +18,6 @@ import hashlib
 import io as _stdio
 import json
 import math
-import statistics
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,7 +37,8 @@ class Round:
     """What one timed round measured and produced."""
 
     wall: float = 0.0
-    rates: dict = field(default_factory=dict)
+    # cost kind -> [collapses, seconds] of the round's decimations
+    work: dict = field(default_factory=dict)
     energy_s: float = 0.0
     drift: float = math.nan
     attempted: int = 0
@@ -64,15 +64,6 @@ def molecule_atoms(rng, n, radius=RADIUS):
     directions /= np.linalg.norm(directions, axis=1)[:, None]
     r = 0.8 * radius * rng.random(n) ** (1.0 / 3.0)
     return np.column_stack([directions * r[:, None], np.ones(n), np.full(n, 1.5)])
-
-
-def sphere_atoms(rng, n):
-    """Acceptance criterion 4's atom recipe: unit charges uniform within
-    8 A of the centre."""
-    directions = rng.normal(size=(n, 3))
-    directions /= np.linalg.norm(directions, axis=1)[:, None]
-    r = 8.0 * rng.random(n) ** (1.0 / 3.0)
-    return np.column_stack([directions * r[:, None], np.ones(n), np.zeros(n)])
 
 
 def write_off(path, mesh):
@@ -117,31 +108,31 @@ def energy(dm, mesh, atoms, rule="1pt"):
     return g, radii, clock() - t0
 
 
-def decimate_each_kind(dm, rnd, mesh, atoms, target, validate_every, g_in, qe_repeats=1):
+def decimate_each_kind(dm, rnd, mesh, atoms, target, g_in, qe_repeats=1):
     """Decimate a copy of ``mesh`` under every cost kind, then evaluate
-    G_pol on each output; fills ``rnd`` rates, energy time and drift.
+    G_pol on each output; fills ``rnd`` work, energy time and drift.
 
     The qe decimation, several times faster than the others, can be
-    repeated; its rate is then the median of the repeats."""
+    repeated, so that its time is sampled about as often."""
     drifts = []
     for kind in KINDS:
-        config = dm.decimate.DecimationConfig(
-            cost_kind=kind, target_faces=target, validate_every=validate_every)
+        config = dm.decimate.DecimationConfig(cost_kind=kind, target_faces=target)
         repeats = qe_repeats if kind == "qe" else 1
         rnd.attempted += repeats + 1
         try:
-            rates = []
             for _ in range(repeats):
                 work = mesh.copy()
                 gc.collect()
                 t0 = clock()
                 out, trace = dm.decimate.decimate(
                     work, config, atoms=atoms if kind in GB_KINDS else None)
-                rates.append(trace.n_collapses / (clock() - t0))
-            rnd.rates[kind] = statistics.median(rates)
+                dt = clock() - t0
+                done = rnd.work.setdefault(kind, [0, 0.0])
+                done[0] += trace.n_collapses
+                done[1] += dt
             g, radii, dt = energy(dm, out, atoms)
         except dm.errors.DecimeshError as exc:
-            rnd.failed += repeats + 1 if kind not in rnd.rates else 1
+            rnd.failed += repeats + 1 if kind not in rnd.work else 1
             rnd.errors.append(f"{kind}: {type(exc).__name__}: {exc}")
             continue
         rnd.energy_s += dt
@@ -173,61 +164,68 @@ def kind_fingerprints(rnd):
 # -- workloads ---------------------------------------------------------------
 
 
+# acceptance criterion 2's bound on |R / r_born - 1| per icosphere level
+CENTRED_ERROR = {3: 0.02, 4: 0.005}
+
+
 class MoleculeDecimate:
-    """A synthetic molecule decimated once under each cost kind."""
+    """A synthetic molecule decimated once under each cost kind (qe
+    three times), G_pol of the input and of each output, and the
+    energetics of a crowd of atoms on the same surface.
+
+    The atom file holds the crowd; the molecule is its first
+    ``n_atoms`` atoms. The crowd's Born radii and G_pol dominate
+    ``energy_s`` and peak memory, as they would for a large protein."""
 
     name = "molecule-decimate"
-    validate_every = 0
     qe_repeats = 3
 
-    def __init__(self, level=4, n_atoms=200, fraction=0.9):
-        self.level, self.n_atoms = level, n_atoms
+    def __init__(self, level=4, n_atoms=200, crowd=2000, fraction=0.9):
+        self.level, self.n_atoms, self.crowd = level, n_atoms, crowd
         self.target = round(fraction * 20 * 4**level)
 
     def make_inputs(self, shapes, seed, directory):
         files = {"mesh": directory / "molecule.off", "atoms": directory / "molecule.atoms"}
         write_off(files["mesh"], shapes.icosphere(self.level, radius=RADIUS))
-        write_atoms(files["atoms"], molecule_atoms(np.random.default_rng(seed), self.n_atoms))
+        write_atoms(files["atoms"], molecule_atoms(np.random.default_rng(seed), self.crowd))
         return files
 
     def load(self, dm, files):
         return dm.io.load_mesh(files["mesh"]), dm.io.load_atoms(files["atoms"])
 
     def round(self, dm, inputs):
-        mesh, atoms = inputs
-        rnd = Round(attempted=1)
+        mesh, crowd = inputs
+        atoms = crowd[:self.n_atoms]
+        rnd = Round(attempted=2)
         t0 = clock()
         g_in, radii, rnd.energy_s = energy(dm, mesh, atoms)
-        decimate_each_kind(dm, rnd, mesh, atoms, self.target, self.validate_every, g_in,
-                           qe_repeats=self.qe_repeats)
+        decimate_each_kind(dm, rnd, mesh, atoms, self.target, g_in, qe_repeats=self.qe_repeats)
+        g_crowd, radii_crowd, dt = energy(dm, mesh, crowd)
+        rnd.energy_s += dt
         rnd.wall = clock() - t0
         rnd.outputs["input"] = (radii, g_in)
-        rnd.fingerprint = fingerprint(radii, g_in, *kind_fingerprints(rnd))
+        rnd.outputs["crowd"] = (radii_crowd, g_crowd)
+        rnd.fingerprint = fingerprint(radii, g_in, radii_crowd, g_crowd, *kind_fingerprints(rnd))
         return rnd
 
     def check(self, dm, inputs, rnd):
-        mesh, atoms = inputs
+        mesh, crowd = inputs
+        atoms = crowd[:self.n_atoms]
         radii, g_in = rnd.outputs["input"]
         fails = checks.check_energy(mesh, atoms, "1pt", radii, g_in, "input")
+        radii, g = rnd.outputs["crowd"]
+        fails += checks.check_energy(mesh, crowd, "1pt", radii, g, f"{len(crowd)} atoms")
+        # exact permutation invariance of the pair sum
+        perm = np.random.default_rng(0).permutation(len(crowd))
+        shuffled = dm.gb.g_pol([crowd[i] for i in perm], dm.gb.GBParams(), radii=radii[perm])
+        if shuffled != g:
+            fails.append(f"g_pol not invariant under a shuffle: {shuffled!r} != {g!r}")
+        # a centred atom sees 1/R within acceptance criterion 2's error
+        centred = dm.gb.Atom(center=(0.0, 0.0, 0.0), charge=1.0)
+        r = dm.gb.born_radii(mesh, [centred])[0]
+        if not abs(RADIUS / r - 1.0) < CENTRED_ERROR[self.level]:
+            fails.append(f"centred atom Born radius {r!r}, sphere radius {RADIUS}")
         return fails + check_each_kind(dm, mesh, atoms, rnd)
-
-
-class SphereValidate(MoleculeDecimate):
-    """A uv-sphere decimated deep under each kind, validated after
-    every collapse."""
-
-    name = "sphere-validate"
-    validate_every = 1
-    qe_repeats = 1
-
-    def __init__(self, segments=24, rings=33, n_atoms=200, target=768):
-        self.segments, self.rings, self.n_atoms, self.target = segments, rings, n_atoms, target
-
-    def make_inputs(self, shapes, seed, directory):
-        files = {"mesh": directory / "sphere.off", "atoms": directory / "sphere.atoms"}
-        write_off(files["mesh"], shapes.uv_sphere(self.segments, self.rings, radius=RADIUS))
-        write_atoms(files["atoms"], sphere_atoms(np.random.default_rng(seed), self.n_atoms))
-        return files
 
 
 @contextlib.contextmanager
@@ -265,9 +263,9 @@ class CompareSweep:
     """``decimesh compare`` through ``cli.cli_main``, writing CSV and JSON.
 
     The first sweep is the end user's (qe, vol, gb_qe at 50/25/10 %).
-    The second runs pb and gb at 75/50 % only: deeper pb decimation of
-    this molecule pulls the surface inside atoms, and those rows fail
-    with NonPositiveIntegral on some seeds.
+    The second gives pb and gb a rate, at 75/50 % only: deeper pb
+    decimation of this molecule pulls the surface inside atoms, and
+    those rows fail with NonPositiveIntegral on some seeds.
     """
 
     name = "compare-sweep"
@@ -317,14 +315,13 @@ class CompareSweep:
                 reports.append(Path(paths[1]).read_text(encoding="utf-8"))
         rnd.wall = clock() - t0
 
-        per_kind = {}
         for what, kind, collapses, dt in log:
             if what == "decimate":
-                c, t = per_kind.get(kind, (0, 0.0))
-                per_kind[kind] = (c + collapses, t + dt)
+                done = rnd.work.setdefault(kind, [0, 0.0])
+                done[0] += collapses
+                done[1] += dt
             else:
                 rnd.energy_s += dt
-        rnd.rates = {kind: c / t for kind, (c, t) in per_kind.items()}
         drifts = []
         for text in filter(None, reports):
             rows = json.loads(text)["rows"]
@@ -349,70 +346,4 @@ class CompareSweep:
         return fails
 
 
-# acceptance criterion 2's bound on |R / r_born - 1| per icosphere level
-CENTRED_ERROR = {3: 0.02, 4: 0.005}
-
-
-class EnergyScaling:
-    """Born radii (1- and 3-point rules) and G_pol on one fixed surface
-    for a rising atom count, plus each kind's decimation of that surface
-    (below the bulk-queue edge count) and its G_pol drift, both with the
-    first ``drift_atoms`` atoms."""
-
-    name = "energy-scaling"
-
-    def __init__(self, level=3, counts=(250, 500, 1000, 2000), target=960, drift_atoms=1000):
-        self.level, self.counts, self.target = level, counts, target
-        self.drift_atoms = drift_atoms
-
-    def make_inputs(self, shapes, seed, directory):
-        files = {"mesh": directory / "surface.off", "atoms": directory / "atoms.atoms"}
-        write_off(files["mesh"], shapes.icosphere(self.level, radius=RADIUS))
-        write_atoms(files["atoms"],
-                    molecule_atoms(np.random.default_rng(seed), max(self.counts)))
-        return files
-
-    def load(self, dm, files):
-        return dm.io.load_mesh(files["mesh"]), dm.io.load_atoms(files["atoms"])
-
-    def round(self, dm, inputs):
-        mesh, atoms = inputs
-        rnd = Round()
-        t0 = clock()
-        evals = {}
-        for n in self.counts:
-            for rule in ("1pt", "3pt"):
-                rnd.attempted += 1
-                g, radii, dt = energy(dm, mesh, atoms[:n], rule)
-                rnd.energy_s += dt
-                evals[n, rule] = (radii, g)
-        sub = atoms[:self.drift_atoms]
-        g_in = evals[self.drift_atoms, "1pt"][1]
-        decimate_each_kind(dm, rnd, mesh, sub, self.target, 0, g_in, qe_repeats=3)
-        rnd.wall = clock() - t0
-        rnd.outputs["evals"] = evals
-        rnd.fingerprint = fingerprint(
-            *[v for key in sorted(evals) for v in evals[key]], *kind_fingerprints(rnd))
-        return rnd
-
-    def check(self, dm, inputs, rnd):
-        mesh, atoms = inputs
-        fails = []
-        for (n, rule), (radii, g) in rnd.outputs["evals"].items():
-            fails += checks.check_energy(mesh, atoms[:n], rule, radii, g, f"{n} atoms {rule}")
-        # exact permutation invariance of the pair sum
-        n = max(self.counts)
-        radii, g = rnd.outputs["evals"][n, "1pt"]
-        perm = np.random.default_rng(0).permutation(n)
-        shuffled = dm.gb.g_pol([atoms[i] for i in perm], dm.gb.GBParams(), radii=radii[perm])
-        if shuffled != g:
-            fails.append(f"g_pol not invariant under a shuffle: {shuffled!r} != {g!r}")
-        # a centred atom sees 1/R within acceptance criterion 2's error
-        centred = dm.gb.Atom(center=(0.0, 0.0, 0.0), charge=1.0)
-        r = dm.gb.born_radii(mesh, [centred])[0]
-        if not abs(RADIUS / r - 1.0) < CENTRED_ERROR[self.level]:
-            fails.append(f"centred atom Born radius {r!r}, sphere radius {RADIUS}")
-        return fails + check_each_kind(dm, mesh, atoms[:self.drift_atoms], rnd)
-
-
-WORKLOADS = {w.name: w for w in (MoleculeDecimate, SphereValidate, CompareSweep, EnergyScaling)}
+WORKLOADS = {w.name: w for w in (MoleculeDecimate, CompareSweep)}

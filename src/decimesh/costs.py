@@ -23,7 +23,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import _kernels
 from .errors import CandidateInfeasible, DegenerateTriangle
 from .geometry import centroid as geometry_centroid
 from .geometry import cross, dist, dot, sub, triangle_quality
@@ -431,24 +430,6 @@ def placement_for(
         candidates.append(minimize_quadric(q, p1, p2))
 
     if cost_kind == "pb":
-        if _kernels.HAVE_NUMBA:
-            costs = _kernels.pb_candidate_costs(
-                np.asarray(star.upper_pos),
-                np.asarray(star.lower_pos),
-                np.asarray(p1),
-                np.asarray(p2),
-                np.asarray(candidates),
-            )
-            best = None
-            best_cost = math.inf
-            for point, c in zip(candidates, costs.tolist()):
-                if not math.isnan(c) and c < best_cost:
-                    best, best_cost = point, c
-            if best is None:
-                raise CandidateInfeasible(
-                    f"no nondegenerate placement for ({star.v1}, {star.v2})"
-                )
-            return best, best_cost
         try:
             evaluate = _QualityChangeEvaluator(star)
         except DegenerateTriangle as exc:

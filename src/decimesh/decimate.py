@@ -8,9 +8,18 @@ edges, so stale entries are skipped on pop instead of being removed.
 Costs are always recomputed from the current mesh geometry, which keeps
 every cost kind a pure function of the live star.
 
+Endpoint quadrics live in one packed per-vertex array, rebuilt from the
+current positions with the queue and rewritten row by row around each
+commit (memoryless simplification in the sense of Lindstrom & Turk).
+Its rows equal ``vertex_quadric`` bit for bit, and the ``qe`` queue and
+the ``pb`` analytic candidate minimize them in batches that equal
+``minimize_quadric`` bit for bit, so an audit against the scalar
+oracles matches every queued candidate exactly.
+
 Between stages a pluggable smoothing hook may move vertices (never
-connectivity); the whole queue is rebuilt afterwards because a global
-position change invalidates every cached cost.
+connectivity); the quadric store and the whole queue are rebuilt
+afterwards because a global position change invalidates every cached
+cost.
 """
 
 from __future__ import annotations
@@ -21,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .costs import (
     COST_KINDS,
     CollapseCandidate,
@@ -35,12 +43,10 @@ from .errors import (
     DecimeshError,
     HookViolation,
     InvalidInput,
-    IsolatedVertex,
     MissingAtoms,
     NotAnEdge,
     StarNotDisk,
 )
-from .geometry import EPS_AREA
 from .grid import grid_build
 from .mesh import (
     StarCache,
@@ -52,20 +58,12 @@ from .mesh import (
     quality_summary,
     validate,
 )
-from .quadrics import (
-    DET_GUARD,
-    HomogeneousPlane,
-    Quadric,
-    minimize_quadric,
-    vertex_quadric,
-)
-
-# scalar per-edge queue building is fine below this edge count; above it
-# the vectorized path builds the initial qe queue in bulk
-_BULK_EDGE_THRESHOLD = 4096
+from .quadrics import Quadric, minimize_packed, minimize_quadric, plane_quadric_rows
 
 # edges per candidate batch: one numpy pass of the pb engine and one
-# shared StarCache, which bounds their scratch memory on big meshes
+# shared StarCache, which bounds their scratch memory on big meshes;
+# (vertex, triangle) pairs per pass when the packed quadric rows are
+# rebuilt
 _CHUNK = 2048
 
 
@@ -172,58 +170,37 @@ class Decimator:
             if atoms is None:
                 raise MissingAtoms(f"cost kind {kind!r} requires an atom set")
             self._grid = grid_build(atoms, cell_size=config.rho)
-        _kernels.warmup()
 
         self._heap = []
         self._versions = {}
-        self._planes = {}
-        self._quadrics = {}
         # sorted atom ids within rho of each vertex, for gb/gb_qe
         self._balls = {}
-        # batch mode for the qe cost on large meshes: a persistent (N, 10)
-        # packed-quadric array updated row-wise after each collapse
-        self._qv = None
+        # the only quadric store: row v packs vertex_quadric(mesh, v,
+        # area_weight) bit for bit, or zeros where that raises
+        # IsolatedVertex; build_queue rebuilds every row and each commit
+        # rewrites the rows of the merged vertex and its 1-ring (all
+        # kinds but vol, which reads no endpoint quadric)
+        self._qv = np.zeros((len(mesh.vertices), 10))
         self._mark = np.zeros(len(mesh.vertices), dtype=bool)
-
-    # -- cached geometry ------------------------------------------------
-
-    def _plane(self, t):
-        plane = self._planes.get(t, False)
-        if plane is False:
-            p0, p1, p2 = self.mesh.triangle_positions(t)
-            plane = HomogeneousPlane.from_triangle(p0, p1, p2)
-            self._planes[t] = plane
-        return plane
-
-    def _quadric(self, v):
-        q = self._quadrics.get(v)
-        if q is None:
-            planes = []
-            for t in self.mesh.incident_triangles(v):
-                plane = self._plane(t)
-                if plane is not None:
-                    planes.append(plane)
-            if not planes:
-                raise IsolatedVertex(f"vertex {v} has no nondegenerate triangle")
-            if self.config.area_weight:
-                q = vertex_quadric(self.mesh, v, area_weight=True)
-            else:
-                q = Quadric.from_planes(planes)
-            self._quadrics[v] = q
-        return q
 
     # -- candidate computation -------------------------------------------
 
     def candidate(self, a, b):
-        """(placement, cost) for edge (a, b), or None when infeasible."""
+        """(placement, cost) for edge (a, b), or None when infeasible.
+
+        This is the audit path: it runs the engine the queue runs, so it
+        recomputes exactly what was queued.
+        """
+        if self.config.cost_kind == "qe":
+            return self._batch_candidates(np.array([[a, b]]))[0]
         return self._candidates([(a, b)])[0]
 
     def _candidates(self, edges):
-        """Candidates of a list of (a, b) edges, None where infeasible.
+        """Candidates of a list of (a, b) edges under a star-based kind
+        (every kind but qe), None where infeasible.
 
-        pb evaluates the whole list in one numpy pass; the other kinds
-        go edge by edge. The queue and :meth:`candidate` both come here,
-        so an audit recomputes exactly what was queued.
+        pb evaluates each chunk in one numpy pass; vol, gb and gb_qe go
+        edge by edge.
         """
         out = []
         for start in range(0, len(edges), _CHUNK):
@@ -235,20 +212,29 @@ class Decimator:
                 out.extend(self._scalar_candidate(a, b, cache) for a, b in chunk)
         return out
 
+    def _has_plane(self, v):
+        """Whether each vertex of id array ``v`` has a nondegenerate
+        incident triangle, i.e. ``vertex_quadric`` does not raise
+        ``IsolatedVertex``. Every entry of the trace is a sum of
+        nonnegative terms, and each plane adds its positive weight
+        times a unit normal's squared length, so the trace is positive
+        exactly when there is a plane."""
+        qv = self._qv
+        return qv[v, 0] + qv[v, 4] + qv[v, 7] + qv[v, 9] > 0.0
+
+    def _quadric_minima(self, edges):
+        """``minimize_quadric`` of each (E, 2) edge's summed endpoint
+        rows, with its cost, and whether both endpoints have a quadric
+        at all (see :meth:`_has_plane`)."""
+        q = self._qv[edges]
+        ends = self.mesh.vertices[edges]
+        points, costs = minimize_packed(q[:, 0] + q[:, 1], ends[:, 0], ends[:, 1])
+        return points, costs, self._has_plane(edges).all(axis=1)
+
     def _scalar_candidate(self, a, b, cache):
         kind = self.config.cost_kind
-        mesh = self.mesh
-        if kind == "qe":
-            try:
-                q = self._quadric(a) + self._quadric(b)
-            except IsolatedVertex:
-                return None
-            p1, p2 = mesh.position(a), mesh.position(b)
-            point = minimize_quadric(q, p1, p2)
-            return point, q.evaluate(point)
-
         try:
-            star = edge_star(mesh, a, b, cache)
+            star = edge_star(self.mesh, a, b, cache)
         except (NotAnEdge, StarNotDisk):
             return None
 
@@ -257,12 +243,12 @@ class Decimator:
             point = minimize_quadric(vq, star.p1, star.p2)
             return point, vq.evaluate(point)
 
-        q1 = q2 = None
-        try:
-            q1, q2 = self._quadric(a), self._quadric(b)
-        except IsolatedVertex:
+        q1 = Quadric(*self._qv[a].tolist())
+        q2 = Quadric(*self._qv[b].tolist())
+        if not (q1.trace() > 0.0 and q2.trace() > 0.0):  # see _has_plane
             if kind == "gb_qe" or self.params.variant == "qe_term":
                 return None
+            q1 = q2 = None
         atom_positions = self._grid.centers[self._atom_ids(a, b)]
         try:
             return placement_for(kind, star, q1, q2, atom_positions, self.params)
@@ -284,80 +270,164 @@ class Decimator:
 
     def _pb_candidates(self, edges, cache):
         mesh = self.mesh
-        slots, stars, analytic = [], [], []
+        slots, stars = [], []
         for i, (a, b) in enumerate(edges):
             try:
-                star = edge_star(mesh, a, b, cache)
+                stars.append(edge_star(mesh, a, b, cache))
             except (NotAnEdge, StarNotDisk):
                 continue
-            try:
-                q = self._quadric(a) + self._quadric(b)
-            except IsolatedVertex:
-                point = None
-            else:
-                point = minimize_quadric(q, star.p1, star.p2)
             slots.append(i)
-            stars.append(star)
-            analytic.append(point)
         out = [None] * len(edges)
+        if not stars:
+            return out
+        ends = np.array([(s.v1, s.v2) for s in stars])
+        points, _, ok = self._quadric_minima(ends)
+        analytic = [p if k else None for p, k in zip(points.tolist(), ok.tolist())]
         points, costs = pb_placements(mesh.vertices, stars, analytic)
         for i, point, cost in zip(slots, points.tolist(), costs.tolist()):
             if cost != math.inf:
                 out[i] = (tuple(point), cost)
         return out
 
-    def _push_edges(self, edges):
-        """Queue fresh candidates for sorted (a, b) keys, bumping stamps."""
+    def _batch_candidates(self, edges):
+        """qe candidates of an (E, 2) edge array in one pass over the
+        packed store: ``placement_for("qe", ...)`` on the endpoints'
+        ``vertex_quadric`` per edge, bit for bit, and None where an
+        endpoint is isolated."""
+        points, costs, ok = self._quadric_minima(edges)
+        return [
+            ((x, y, z), cost) if k else None
+            for (x, y, z), cost, k in zip(points.tolist(), costs.tolist(), ok.tolist())
+        ]
+
+    # -- the queue ---------------------------------------------------------
+
+    def _push_edges(self, edges, heapify=False):
+        """Queue fresh candidates for an (E, 2) array of sorted (a, b)
+        keys, bumping their stamps; qe goes through :meth:`_push_batch`."""
+        if self.config.cost_kind == "qe":
+            self._push_batch(edges, heapify)
+            return
+        keys = list(zip(edges[:, 0].tolist(), edges[:, 1].tolist()))
+        self._enqueue(keys, self._candidates(keys), heapify)
+
+    def _push_batch(self, edges, heapify):
+        """Queue the qe candidates of an (E, 2) edge array. They are
+        ``placement_for("qe", ...)`` on the endpoints' ``vertex_quadric``
+        bit for bit, at every mesh size, so an exhaustive rescan
+        reproduces each queued cost exactly."""
+        keys = zip(edges[:, 0].tolist(), edges[:, 1].tolist())
+        self._enqueue(keys, self._batch_candidates(edges), heapify)
+
+    def _enqueue(self, keys, cands, heapify):
+        """Push one heap entry per feasible candidate; every key's stamp
+        is bumped, so older entries of these edges go stale."""
         heap = self._heap
         versions = self._versions
         trace = self.trace
-        for key, cand in zip(edges, self._candidates(edges)):
+        for key, cand in zip(keys, cands):
             version = versions.get(key, 0) + 1
             versions[key] = version
             if cand is None:
                 trace.reject("infeasible_candidate")
                 continue
             point, cost = cand
-            heapq.heappush(heap, (cost, key[0], key[1], version, point))
+            entry = (cost, key[0], key[1], version, point)
+            if heapify:
+                heap.append(entry)
+            else:
+                heapq.heappush(heap, entry)
+        if heapify:
+            heapq.heapify(heap)
+
+    def _edge_array(self):
+        """The live edges' sorted (a, b) keys as an (E, 2) array."""
+        tris = self.mesh.live_triangle_array()
+        if len(tris) == 0:
+            return np.empty((0, 2), dtype=np.int64)
+        n = len(self.mesh.vertices)
+        directed = np.concatenate(
+            [tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]
+        )
+        lo = np.minimum(directed[:, 0], directed[:, 1])
+        hi = np.maximum(directed[:, 0], directed[:, 1])
+        keys = np.unique(lo * n + hi)
+        return np.stack([keys // n, keys % n], axis=1)
 
     def build_queue(self):
-        """(Re)compute a candidate for every live edge."""
+        """Rebuild the quadric store from the current positions and
+        compute a candidate for every live edge."""
         self._heap = []
         self._versions = {}
-        self._qv = None
         self._balls = {}
-        mesh = self.mesh
-        if self.config.cost_kind == "qe":
-            edges = self._edge_array()
-            if len(edges) >= _BULK_EDGE_THRESHOLD:
-                self._qv = self._compute_all_quadrics()
-                self._push_batch(edges, heapify=True)
-                return
-        self._push_edges(sorted(mesh.edges()))
+        self._recompute_quadric_rows(range(len(self.mesh.vertices)))
+        self._push_edges(self._edge_array(), heapify=True)
 
     def refresh(self, center, ring=None):
-        """Recompute candidates of every edge with an endpoint in the
-        1-ring of ``center`` (the merged vertex), ``center`` included.
+        """Rewrite the quadric rows of ``center`` (the merged vertex) and
+        its 1-ring, and recompute the candidates of every edge with an
+        endpoint among them.
 
         Any edge outside this set has an unchanged star, unchanged
         endpoint quadrics and an unchanged legality status, so its
         queued candidate is still exact. Returns the refreshed edge set.
         """
-        mesh = self.mesh
         if ring is None:
-            ring = mesh.vertex_neighbors(center)
-        verts = set(ring)
-        verts.add(center)
-        seen = set()
-        for va in verts:
-            for vb in mesh.vertex_neighbors(va):
-                key = (va, vb) if va < vb else (vb, va)
-                if key not in seen:
-                    seen.add(key)
-        self._push_edges(sorted(seen))
-        return seen
+            ring = self.mesh.vertex_neighbors(center)
+        edges = self._batch_refresh(center, ring)
+        return set(zip(edges[:, 0].tolist(), edges[:, 1].tolist()))
 
-    # -- the greedy loop ---------------------------------------------------
+    def _batch_refresh(self, center, ring):
+        """:meth:`refresh` on numpy arrays; returns the refreshed edges
+        as a sorted (E, 2) array."""
+        mesh = self.mesh
+        verts = sorted(ring)
+        verts.append(center)
+        self._recompute_quadric_rows(verts)
+
+        incident = mesh._vertex_tris
+        rows = mesh.triangles[list(set().union(*(incident[v] for v in verts)))]
+        n = len(mesh.vertices)
+        directed = np.concatenate([rows[:, [0, 1]], rows[:, [1, 2]], rows[:, [2, 0]]])
+        lo = np.minimum(directed[:, 0], directed[:, 1])
+        hi = np.maximum(directed[:, 0], directed[:, 1])
+        mark = self._mark
+        mark[verts] = True
+        touched = mark[lo] | mark[hi]
+        mark[verts] = False
+        keys = np.unique(lo[touched] * n + hi[touched])
+        edges = np.stack([keys // n, keys % n], axis=1)
+        self._push_edges(edges)
+        return edges
+
+    def _recompute_quadric_rows(self, verts):
+        """Rewrite the packed quadric rows of ``verts`` from the current
+        positions.
+
+        Row v sums the plane quadrics of ``mesh.incident_triangles(v)``
+        in that set's iteration order, as :func:`vertex_quadric` does,
+        so ``Quadric(*row)`` equals it bit for bit; a vertex with no
+        nondegenerate triangle gets a zero row. ``vol`` reads no
+        endpoint quadric, so it keeps no rows.
+        """
+        if self.config.cost_kind == "vol":
+            return
+        mesh = self.mesh
+        incident = mesh._vertex_tris
+        sets = [incident[v] for v in verts]
+        owners = np.repeat(np.asarray(verts, dtype=np.int64), [len(s) for s in sets])
+        tri_ids = np.fromiter(
+            (t for s in sets for t in s), dtype=np.int64, count=len(owners)
+        )
+        qv = self._qv
+        qv[verts] = 0.0
+        for start in range(0, len(owners), _CHUNK):
+            part = slice(start, start + _CHUNK)
+            rows, good = plane_quadric_rows(
+                mesh.vertices, mesh.triangles[tri_ids[part]], self.config.area_weight
+            )
+            # add.at adds pair by pair, in order, like the scalar loop
+            np.add.at(qv, owners[part][good], rows[good])
 
     def _compact_heap(self):
         """Drop stale entries once they dominate the heap, so push cost
@@ -367,6 +437,8 @@ class Decimator:
             e for e in self._heap if versions.get((e[1], e[2])) == e[3]
         ]
         heapq.heapify(self._heap)
+
+    # -- the greedy loop ---------------------------------------------------
 
     def step(self, audit=None):
         """Commit the cheapest valid collapse; None when the queue is dry."""
@@ -388,7 +460,6 @@ class Decimator:
             if not check.ok:
                 trace.reject(check.reason)
                 continue
-            point = (point[0], point[1], point[2])
             shared = vertex_tris[a] & vertex_tris[b]
             changed = (vertex_tris[a] | vertex_tris[b]) - shared
             flipped, nonpos = _changed_normal_flips(mesh, a, b, point, changed)
@@ -409,26 +480,9 @@ class Decimator:
                 TraceRecord(a, b, point, cost, mesh.n_faces,
                             flipped=len(record.flipped_triangles))
             )
-
-            ring = mesh.vertex_neighbors(a)
-            if self._qv is not None:
-                self._batch_refresh(a, ring)
-            else:
-                planes = self._planes
-                for t in record.rewritten_triangles:
-                    planes.pop(t, None)
-                for t in record.removed_triangles:
-                    planes.pop(t, None)
-                for t in mesh.incident_triangles(a):
-                    planes.pop(t, None)
-                quads = self._quadrics
-                quads.pop(a, None)
-                quads.pop(b, None)
-                for v in ring:
-                    quads.pop(v, None)
-                self._balls.pop(a, None)
-                self._balls.pop(b, None)
-                self.refresh(a, ring)
+            self._balls.pop(a, None)
+            self._balls.pop(b, None)
+            self._batch_refresh(a, mesh.vertex_neighbors(a))
 
             if cfg.validate_every and len(trace.records) % cfg.validate_every == 0:
                 validate(mesh)
@@ -497,236 +551,6 @@ class Decimator:
             raise HookViolation(f"stage hook broke mesh validity: {exc}") from exc
         self.mesh = result
         return result
-
-    # -- bulk initial build for the quadric cost ---------------------------
-
-    def _edge_array(self):
-        tris = self.mesh.live_triangle_array()
-        if len(tris) == 0:
-            return np.empty((0, 2), dtype=np.int64)
-        n = len(self.mesh.vertices)
-        directed = np.concatenate(
-            [tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]
-        )
-        lo = np.minimum(directed[:, 0], directed[:, 1])
-        hi = np.maximum(directed[:, 0], directed[:, 1])
-        keys = np.unique(lo * n + hi)
-        return np.stack([keys // n, keys % n], axis=1)
-
-    @staticmethod
-    def _packed_planes(a, b, c, area_weight):
-        """Packed p p^T rows for triangles given as (T, 3) corner arrays;
-        degenerate triangles contribute a zero row."""
-        nrm = np.cross(b - a, c - a)
-        dbl = np.linalg.norm(nrm, axis=1)
-        good = dbl > 2.0 * EPS_AREA  # same degenerate-plane cutoff as the scalar path
-        unit = np.zeros_like(nrm)
-        unit[good] = nrm[good] / dbl[good, None]
-        d = -np.einsum("ij,ij->i", unit, a)
-        planes = np.concatenate([unit, d[:, None]], axis=1)
-        if area_weight:
-            w = np.where(good, 0.5 * dbl, 0.0)
-        else:
-            w = good.astype(float)
-        p0, p1_, p2_, p3 = planes[:, 0], planes[:, 1], planes[:, 2], planes[:, 3]
-        return np.stack(
-            [
-                p0 * p0, p0 * p1_, p0 * p2_, p0 * p3,
-                p1_ * p1_, p1_ * p2_, p1_ * p3,
-                p2_ * p2_, p2_ * p3, p3 * p3,
-            ],
-            axis=1,
-        ) * w[:, None]
-
-    def _compute_all_quadrics(self):
-        """Plane-sum quadrics of every vertex as a packed (N, 10) array."""
-        mesh = self.mesh
-        tris = mesh.live_triangle_array()
-        verts = mesh.vertices
-        packed = self._packed_planes(
-            verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]],
-            self.config.area_weight,
-        )
-        qv = np.zeros((len(verts), 10))
-        for k in range(3):
-            np.add.at(qv, tris[:, k], packed)
-        return qv
-
-    def _recompute_quadric_rows(self, vert_list, tri_ids):
-        """Refresh the packed quadrics of ``vert_list`` from current planes."""
-        mesh = self.mesh
-        rows = mesh.triangles[tri_ids]
-        verts = mesh.vertices
-        index = {t: i for i, t in enumerate(tri_ids)}
-        incident = mesh._vertex_tris
-        owners = []
-        slots = []
-        for i, v in enumerate(vert_list):
-            for t in incident[v]:
-                owners.append(i)
-                slots.append(index[t])
-        a = verts[rows[:, 0]]
-        b = verts[rows[:, 1]]
-        c = verts[rows[:, 2]]
-        if _kernels.HAVE_NUMBA:
-            acc = _kernels.quadric_rows(
-                a, b, c,
-                np.asarray(owners, dtype=np.int64),
-                np.asarray(slots, dtype=np.int64),
-                len(vert_list),
-                self.config.area_weight,
-                2.0 * EPS_AREA,
-            )
-        else:
-            packed = self._packed_planes(a, b, c, self.config.area_weight)
-            acc = np.zeros((len(vert_list), 10))
-            np.add.at(acc, owners, packed[slots])
-        self._qv[vert_list] = acc
-
-    def _batch_refresh(self, center, ring):
-        """Vectorized equivalent of :meth:`refresh` for the qe batch mode."""
-        mesh = self.mesh
-        verts = sorted(ring)
-        verts.append(center)
-        tri_set = set()
-        incident = mesh._vertex_tris
-        for v in verts:
-            tri_set |= incident[v]
-        tri_ids = sorted(tri_set)
-        self._recompute_quadric_rows(verts, tri_ids)
-
-        rows = mesh.triangles[tri_ids]
-        n = len(mesh.vertices)
-        directed = np.concatenate([rows[:, [0, 1]], rows[:, [1, 2]], rows[:, [2, 0]]])
-        lo = np.minimum(directed[:, 0], directed[:, 1])
-        hi = np.maximum(directed[:, 0], directed[:, 1])
-        mark = self._mark
-        mark[verts] = True
-        touched = mark[lo] | mark[hi]
-        mark[verts] = False
-        keys = np.unique(lo[touched] * n + hi[touched])
-        edges = np.stack([keys // n, keys % n], axis=1)
-        self._push_batch(edges, heapify=False)
-
-    def _push_batch(self, edges, heapify):
-        """Compute candidates for an (E, 2) edge array and queue them.
-
-        Mirrors the scalar path: per-vertex plane-sum quadrics, the
-        guarded 3x3 solve, and the midpoint/p1/p2/analytic argmin with
-        the same tie order; the two paths agree on the contract
-        (cheapest of the candidate set) rather than bit-for-bit.
-        """
-        if len(edges) == 0:
-            return
-        points, costs = self._batch_candidates(edges)
-        heap = self._heap
-        versions = self._versions
-        push = heapq.heappush
-        # placements stay lists here: heap comparisons never reach the
-        # fifth slot because the version stamp already breaks ties
-        for a, b, cost, pt in zip(
-            edges[:, 0].tolist(), edges[:, 1].tolist(),
-            costs.tolist(), points.tolist(),
-        ):
-            key = (a, b)
-            version = versions.get(key, 0) + 1
-            versions[key] = version
-            entry = (cost, a, b, version, pt)
-            if heapify:
-                heap.append(entry)
-            else:
-                push(heap, entry)
-        if heapify:
-            heapq.heapify(heap)
-
-    def _batch_candidates(self, edges):
-        qv = self._qv
-        verts = self.mesh.vertices
-        ea, eb = edges[:, 0], edges[:, 1]
-        q = qv[ea] + qv[eb]
-        if _kernels.HAVE_NUMBA:
-            return _kernels.batch_candidates(q, verts[ea], verts[eb], DET_GUARD)
-        xx, xy, xz, xw = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-        yy, yz, yw = q[:, 4], q[:, 5], q[:, 6]
-        zz, zw = q[:, 7], q[:, 8]
-
-        det = (
-            xx * (yy * zz - yz * yz)
-            - xy * (xy * zz - yz * xz)
-            + xz * (xy * yz - yy * xz)
-        )
-        r1 = np.sqrt(xx * xx + xy * xy + xz * xz)
-        r2 = np.sqrt(xy * xy + yy * yy + yz * yz)
-        r3 = np.sqrt(xz * xz + yz * yz + zz * zz)
-        scale = (r1 + r2 + r3) / 3.0
-        solvable = np.abs(det) > DET_GUARD * scale**3
-
-        pa = verts[ea]
-        pb = verts[eb]
-        analytic = np.full_like(pa, np.nan)
-        if solvable.any():
-            s = solvable
-            inv = 1.0 / det[s]
-            b1, b2, b3 = xw[s], yw[s], zw[s]
-            sxx, sxy, sxz = xx[s], xy[s], xz[s]
-            syy, syz, szz = yy[s], yz[s], zz[s]
-            analytic[s, 0] = -inv * (
-                b1 * (syy * szz - syz * syz)
-                - sxy * (b2 * szz - syz * b3)
-                + sxz * (b2 * syz - syy * b3)
-            )
-            analytic[s, 1] = -inv * (
-                sxx * (b2 * szz - syz * b3)
-                - b1 * (sxy * szz - sxz * syz)
-                + sxz * (sxy * b3 - b2 * sxz)
-            )
-            analytic[s, 2] = -inv * (
-                sxx * (syy * b3 - b2 * syz)
-                - sxy * (sxy * b3 - b2 * sxz)
-                + b1 * (sxy * syz - syy * sxz)
-            )
-        if (~solvable).any():
-            u = ~solvable
-            dvec = pb[u] - pa[u]
-            au = np.stack(
-                [
-                    xx[u] * dvec[:, 0] + xy[u] * dvec[:, 1] + xz[u] * dvec[:, 2],
-                    xy[u] * dvec[:, 0] + yy[u] * dvec[:, 1] + yz[u] * dvec[:, 2],
-                    xz[u] * dvec[:, 0] + yz[u] * dvec[:, 1] + zz[u] * dvec[:, 2],
-                ],
-                axis=1,
-            )
-            curv = np.einsum("ij,ij->i", dvec, au)
-            d2 = np.einsum("ij,ij->i", dvec, dvec)
-            ok = (curv > DET_GUARD * scale[u] * d2) & (curv > 0.0)
-            ap1 = np.stack(
-                [
-                    xx[u] * pa[u][:, 0] + xy[u] * pa[u][:, 1] + xz[u] * pa[u][:, 2] + xw[u],
-                    xy[u] * pa[u][:, 0] + yy[u] * pa[u][:, 1] + yz[u] * pa[u][:, 2] + yw[u],
-                    xz[u] * pa[u][:, 0] + yz[u] * pa[u][:, 1] + zz[u] * pa[u][:, 2] + zw[u],
-                ],
-                axis=1,
-            )
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = -np.einsum("ij,ij->i", dvec, ap1) / curv
-            t = np.clip(t, 0.0, 1.0)
-            seg = pa[u] + t[:, None] * dvec
-            seg[~ok] = np.nan
-            analytic[u] = seg
-
-        mid = 0.5 * (pa + pb)
-        points = np.stack([mid, pa, pb, analytic], axis=1)  # (E, 4, 3)
-        x, y, z = points[:, :, 0], points[:, :, 1], points[:, :, 2]
-        c = q[:, :, None]
-        costs = (
-            c[:, 0] * x * x + c[:, 4] * y * y + c[:, 7] * z * z + c[:, 9]
-            + 2.0 * (c[:, 1] * x * y + c[:, 2] * x * z + c[:, 5] * y * z
-                     + c[:, 3] * x + c[:, 6] * y + c[:, 8] * z)
-        )
-        costs[np.isnan(costs)] = np.inf
-        pick = np.argmin(costs, axis=1)  # first minimum: tie order mid, p1, p2, analytic
-        rows = np.arange(len(edges))
-        return points[rows, pick], costs[rows, pick]
 
 
 def decimate(mesh: TriangleMesh, config: DecimationConfig, atoms=None,

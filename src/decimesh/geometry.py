@@ -2,8 +2,10 @@
 
 Positions are plain ``(x, y, z)`` float tuples in these helpers; the hot
 decimation loop calls them far too often for small-array numpy to pay
-off. Vectorized equivalents for whole-mesh statistics live in
-:mod:`decimesh.report`. Lengths are in Angstroms everywhere.
+off. Vectorized triangle quality lives in
+:func:`decimesh.mesh.quality_summary` (whole-mesh statistics) and
+``decimesh.costs._quality_array`` (the batched ``pb`` engine). Lengths
+are in Angstroms everywhere.
 """
 
 from __future__ import annotations

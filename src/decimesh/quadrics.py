@@ -5,6 +5,10 @@ homogeneous planes [a b c d] of its incident triangles, with unit
 normals, so evaluating the quadric at a point gives the sum of squared
 point-plane distances. Packed symmetric storage (10 floats) keeps the
 decimation hot loop off numpy's small-array overhead.
+
+:func:`plane_quadric_rows` and :func:`minimize_packed` are the batched
+twins of the plane quadric and of :func:`minimize_quadric`, for the
+decimation queue; they equal the scalar functions bit for bit.
 """
 
 from __future__ import annotations
@@ -232,3 +236,106 @@ def minimize_quadric(q: Quadric, p1, p2):
 def qe_optimal_placement(q1: Quadric, q2: Quadric, p1, p2):
     """Placement minimizing f_qe for an edge with endpoint quadrics q1, q2."""
     return minimize_quadric(q1 + q2, p1, p2)
+
+
+# -- packed (rows of 10 floats) twins of the scalar functions above --------
+#
+# Component arithmetic in the scalar functions' operation order, with no
+# fused or reordered sums, so every row equals its scalar counterpart
+# bit for bit.
+
+
+# upper-triangle index pairs (i, j) of p p^T in packed Quadric order
+_PACK_I = [0, 0, 0, 0, 1, 1, 1, 2, 2, 3]
+_PACK_J = [0, 1, 2, 3, 1, 2, 3, 2, 3, 3]
+
+
+def plane_quadric_rows(vertices, tris, area_weight=False):
+    """Packed plane quadric of each (T, 3) triangle row, and which rows
+    are nondegenerate (``HomogeneousPlane.from_triangle`` not None).
+
+    Each nondegenerate row is the term the scalar plane sum adds for
+    that triangle in :func:`vertex_quadric`; degenerate rows hold junk.
+    """
+    p = vertices[tris]
+    p0 = p[:, 0].T
+    ux, uy, uz = (p[:, 1] - p[:, 0]).T
+    vx, vy, vz = (p[:, 2] - p[:, 0]).T
+    plane = np.empty((4, len(p)))
+    a, b, c, d = plane
+    np.subtract(uy * vz, uz * vy, out=a)
+    np.subtract(uz * vx, ux * vz, out=b)
+    np.subtract(ux * vy, uy * vx, out=c)
+    m = np.sqrt(a * a + b * b + c * c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plane[:3] /= m
+    np.negative(a * p0[0] + b * p0[1] + c * p0[2], out=d)
+    weighted = plane * (0.5 * m) if area_weight else plane
+    rows = weighted[_PACK_I] * plane[_PACK_J]  # (w * a) * b, as the scalar sum
+    return rows.T, ~(m <= 2.0 * EPS_AREA)
+
+
+def minimize_packed(q, p1, p2):
+    """:func:`minimize_quadric` and ``Quadric.evaluate`` of its result
+    for (E, 10) packed quadrics and (E, 3) endpoints, one row per edge.
+
+    Returns (points (E, 3), costs (E,)), equal to the scalar results bit
+    for bit, branch choices and tie order included.
+    """
+    xx, xy, xz, xw, yy, yz, yw, zz, zw, ww = np.ascontiguousarray(q.T)
+    with np.errstate(all="ignore"):
+        c1 = yy * zz - yz * yz
+        c2 = xy * zz - yz * xz
+        c3 = xy * yz - yy * xz
+        det = xx * c1 - xy * c2 + xz * c3
+        sq_xy, sq_xz, sq_yz = xy * xy, xz * xz, yz * yz
+        scale = (
+            np.sqrt(xx * xx + sq_xy + sq_xz)
+            + np.sqrt(sq_xy + yy * yy + sq_yz)
+            + np.sqrt(sq_xz + sq_yz + zz * zz)
+        ) / 3.0
+        solvable = np.abs(det) > DET_GUARD * scale * scale * scale
+
+        # Cramer's rule for A x = -b
+        e1 = yw * zz - yz * zw
+        e3 = xy * zw - yw * xz
+        inv = -(1.0 / det)
+        # candidates: midpoint, p1, p2, analytic
+        points = np.empty((4,) + p1.shape)
+        np.multiply(0.5, p1 + p2, out=points[0])
+        points[1] = p1
+        points[2] = p2
+        analytic = points[3]
+        np.multiply(inv, xw * c1 - xy * e1 + xz * (yw * yz - yy * zw), out=analytic[:, 0])
+        np.multiply(inv, xx * e1 - xw * c2 + xz * e3, out=analytic[:, 1])
+        np.multiply(inv, xx * (yy * zw - yw * yz) - xy * e3 + xw * c3, out=analytic[:, 2])
+
+        if not solvable.all():
+            # the minimum along the segment, where it curves up
+            d = p2 - p1
+            dx, dy, dz = d.T
+            x1, y1, z1 = p1.T
+            curv = (dx * (xx * dx + xy * dy + xz * dz)
+                    + dy * (xy * dx + yy * dy + yz * dz)
+                    + dz * (xz * dx + yz * dy + zz * dz))
+            dd = dx * dx + dy * dy + dz * dz
+            t = -(dx * (xx * x1 + xy * y1 + xz * z1 + xw)
+                  + dy * (xy * x1 + yy * y1 + yz * z1 + yw)
+                  + dz * (xz * x1 + yz * y1 + zz * z1 + zw)) / curv
+            t = np.where(t < 0.0, 0.0, np.where(t > 1.0, 1.0, t))
+            on_segment = (curv > DET_GUARD * scale * dd) & (curv > 0.0)
+            segment = np.where(on_segment[:, None], p1 + t[:, None] * d, np.nan)
+            analytic[~solvable] = segment[~solvable]
+
+        # the cheapest candidate; ties and NaN (no analytic point)
+        # resolve as the scalar loop's strict "<" does
+        x, y, z = points[..., 0], points[..., 1], points[..., 2]
+        costs = (
+            xx * x * x + yy * y * y + zz * z * z + ww
+            + 2.0 * (xy * x * y + xz * x * z + yz * y * z
+                     + xw * x + yw * y + zw * z)
+        )
+        costs[1:][np.isnan(costs[1:])] = np.inf
+    pick = np.argmin(costs, axis=0)
+    rows = np.arange(len(pick))
+    return points[pick, rows], costs[pick, rows]

@@ -55,8 +55,6 @@ def build_parser():
     p.add_argument("--rho", type=float, default=5.0)
     p.add_argument("--lambda", dest="lam", type=float, default=1e-8)
     p.add_argument("--stages", type=int, default=1)
-    p.add_argument("--gb-variant", choices=["edge", "qe"], default=None,
-                   help="first term of the gb cost (default: by cost kind)")
     p.add_argument("--no-veto-flips", action="store_true",
                    help="apply collapses even when a ring triangle flips")
     p.add_argument("--validate-every", type=int, default=0, metavar="K",
@@ -103,14 +101,12 @@ def _cmd_validate(args):
 def _cmd_decimate(args):
     mesh = load_mesh(args.mesh)
     atoms = load_atoms(args.atoms) if args.atoms else None
-    variant = {"edge": "edge_length", "qe": "qe_term", None: None}[args.gb_variant]
     config = DecimationConfig(
         cost_kind=args.cost,
         target_faces=args.target_faces,
         stages=args.stages,
         rho=args.rho,
         lam=args.lam,
-        gb_variant=variant,
         veto_flips=not args.no_veto_flips,
         validate_every=args.validate_every,
     )

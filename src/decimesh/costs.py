@@ -18,16 +18,16 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import CandidateInfeasible, DegenerateTriangle
 from .geometry import centroid as geometry_centroid
-from .geometry import cross, dist, dot, sub, triangle_quality
+from .geometry import cross, dist, dot, sub, triangle_quality, triangle_quality_array
 from .mesh import EdgeStar, edge_star
-from .quadrics import Quadric, f_qe, minimize_quadric, vertex_quadric
+from .quadrics import Quadric, minimize_quadric, vertex_quadric
 
 COST_KINDS = ("qe", "vol", "pb", "gb", "gb_qe")
 
@@ -154,33 +154,6 @@ def f_pb(star: EdgeStar, vbar) -> float:
     return _QualityChangeEvaluator(star)(tuple(vbar))
 
 
-def _quality_array(a, b, c):
-    """:func:`geometry.triangle_quality` over corner arrays laid out
-    coordinate-first, (3, ...) and broadcastable, with the same
-    operation order; NaN where the scalar version raises."""
-    ux = b[0] - c[0]; uy = b[1] - c[1]; uz = b[2] - c[2]
-    vx = c[0] - a[0]; vy = c[1] - a[1]; vz = c[2] - a[2]
-    wx = a[0] - b[0]; wy = a[1] - b[1]; wz = a[2] - b[2]
-    la2 = ux * ux + uy * uy + uz * uz
-    lb2 = vx * vx + vy * vy + vz * vz
-    lc2 = wx * wx + wy * wy + wz * wz
-    lmin2 = np.minimum(np.minimum(la2, lb2), lc2)
-    lmax2 = np.maximum(np.maximum(la2, lb2), lc2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ca = (lb2 + lc2 - la2) / (2.0 * np.sqrt(lb2 * lc2))
-        cb = (lc2 + la2 - lb2) / (2.0 * np.sqrt(lc2 * la2))
-        cc = (la2 + lb2 - lc2) / (2.0 * np.sqrt(la2 * lb2))
-        # arccos is decreasing: the extreme angles come from the extreme
-        # cosines, which saves a third of the arccos work
-        cmax = np.maximum(np.maximum(ca, cb), cc)
-        cmin = np.minimum(np.minimum(ca, cb), cc)
-        amin = np.arccos(np.maximum(np.minimum(cmax, 1.0), -1.0))
-        amax = np.arccos(np.maximum(np.minimum(cmin, 1.0), -1.0))
-        q = np.sqrt(lmax2 / lmin2) + amax / amin
-    q[(lmin2 <= 0.0) | ~(amin > 0.0)] = np.nan
-    return q
-
-
 _NO_POINT = (math.nan, math.nan, math.nan)
 
 
@@ -203,7 +176,9 @@ def pb_candidate_costs(vertices, stars, analytic):
     """:func:`f_pb` of every candidate of every star, batched.
 
     Evaluates every ring triangle of every star before the collapse and
-    at each candidate {midpoint, v1, v2, analytic} together. The sums
+    at each candidate {midpoint, v1, v2, analytic} together, in one call
+    of :func:`geometry.triangle_quality_array`, the array form of the
+    :func:`geometry.triangle_quality` that :func:`f_pb` sums. The sums
     run upper ring then lower, term by term, as in :func:`f_pb`, and an
     endpoint candidate skips the ring it leaves unchanged, so those
     terms are exactly zero. Returns (candidates (4, E, 3), costs (4, E))
@@ -249,7 +224,7 @@ def pb_candidate_costs(vertices, stars, analytic):
     apex = np.empty((3, 5, len(path)))
     apex[:, 0] = ends.take(path ^ 1, axis=1)
     apex[:, 1:] = cands.take(owner, axis=2)
-    q = _quality_array(
+    q = triangle_quality_array(
         apex, path_pts.take(starts, axis=1), path_pts.take(starts + 1, axis=1)
     )
     terms = q[1:] - q[0]
@@ -353,15 +328,8 @@ def f_gb(
     q2: Optional[Quadric] = None,
 ) -> float:
     """Atom-aware collapse cost: first term plus lam * f_ac."""
-    if params.variant == "qe_term":
-        if q1 is None or q2 is None:
-            raise ValueError("qe_term variant needs both endpoint quadrics")
-        first = f_qe(q1, q2, vbar)
-    else:
-        first = dist(star.p1, star.p2)
-    if params.lam == 0.0:
-        return first
-    return first + params.lam * f_ac(star, vbar, atom_positions)
+    q = q1 + q2 if q1 is not None and q2 is not None else None
+    return _gb_evaluator(star, atom_positions, params, q)(tuple(vbar))
 
 
 def _gb_evaluator(star, atom_positions, params, q):
@@ -479,18 +447,17 @@ def estimate_lambda(mesh, atoms, params: Optional[GbCostParams] = None,
     rng = np.random.default_rng(seed)
     picks = rng.choice(len(edges), size=min(n_edges, len(edges)), replace=False)
     grid = grid_build(atoms, cell_size=params.rho)
+    first_term = replace(params, lam=0.0)
 
     firsts, acs = [], []
     for i in picks.tolist():
         a, b = edges[i]
         star = edge_star(mesh, a, b)
         mid = _midpoint(star.p1, star.p2)
+        q1 = q2 = None
         if params.variant == "qe_term":
-            qa = vertex_quadric(mesh, a)
-            qb = vertex_quadric(mesh, b)
-            first = f_qe(qa, qb, mid)
-        else:
-            first = dist(star.p1, star.p2)
+            q1, q2 = vertex_quadric(mesh, a), vertex_quadric(mesh, b)
+        first = f_gb(star, mid, None, first_term, q1, q2)
         ids = grid_query_edge(grid, star.p1, star.p2, params.rho)
         ac = f_ac(star, mid, grid.centers[list(ids)])
         if ac > 0.0:

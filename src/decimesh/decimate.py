@@ -67,15 +67,30 @@ from .quadrics import Quadric, minimize_packed, minimize_quadric, plane_quadric_
 _CHUNK = 2048
 
 
+def _edge_keys(tris, n, mark=None):
+    """Sorted (a, b) keys, a < b, of the edges of (T, 3) triangle rows
+    over ``n`` vertices as an (E, 2) array; with a boolean vertex array
+    ``mark``, only the edges with a marked endpoint."""
+    directed = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    lo = np.minimum(directed[:, 0], directed[:, 1])
+    hi = np.maximum(directed[:, 0], directed[:, 1])
+    if mark is not None:
+        touched = mark[lo] | mark[hi]
+        lo, hi = lo[touched], hi[touched]
+    keys = np.unique(lo * n + hi)
+    return np.stack([keys // n, keys % n], axis=1)
+
+
 @dataclass
 class DecimationConfig:
     """Settings for one decimation run.
 
-    cost_kind is one of qe | vol | pb | gb | gb_qe. rho/lam parametrize
-    the atom-aware costs (gb_variant overrides the first-term choice
-    derived from cost_kind). veto_flips drops candidates that would
-    reverse a ring triangle's normal. validate_every > 0 runs a full
-    manifold validation every that-many collapses (1 = after each).
+    cost_kind is one of qe | vol | pb | gb | gb_qe; for the atom-aware
+    costs it also picks the first term, the edge length for gb and the
+    quadric cost for gb_qe, and rho/lam parametrize them. veto_flips
+    drops candidates that would reverse a ring triangle's normal.
+    validate_every > 0 runs a full manifold validation every that-many
+    collapses (1 = after each).
     """
 
     cost_kind: str
@@ -83,7 +98,6 @@ class DecimationConfig:
     stages: int = 1
     rho: float = 5.0
     lam: float = 1e-8
-    gb_variant: str | None = None
     veto_flips: bool = True
     validate_every: int = 0
     area_weight: bool = False
@@ -159,9 +173,7 @@ class Decimator:
         self.mesh = mesh
         self.config = config
         kind = config.cost_kind
-        variant = config.gb_variant
-        if variant is None:
-            variant = "qe_term" if kind == "gb_qe" else "edge_length"
+        variant = "qe_term" if kind == "gb_qe" else "edge_length"
         self.params = GbCostParams(rho=config.rho, lam=config.lam, variant=variant)
         self.trace = DecimationTrace()
 
@@ -246,7 +258,7 @@ class Decimator:
         q1 = Quadric(*self._qv[a].tolist())
         q2 = Quadric(*self._qv[b].tolist())
         if not (q1.trace() > 0.0 and q2.trace() > 0.0):  # see _has_plane
-            if kind == "gb_qe" or self.params.variant == "qe_term":
+            if kind == "gb_qe":
                 return None
             q1 = q2 = None
         atom_positions = self._grid.centers[self._atom_ids(a, b)]
@@ -340,28 +352,16 @@ class Decimator:
         if heapify:
             heapq.heapify(heap)
 
-    def _edge_array(self):
-        """The live edges' sorted (a, b) keys as an (E, 2) array."""
-        tris = self.mesh.live_triangle_array()
-        if len(tris) == 0:
-            return np.empty((0, 2), dtype=np.int64)
-        n = len(self.mesh.vertices)
-        directed = np.concatenate(
-            [tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]
-        )
-        lo = np.minimum(directed[:, 0], directed[:, 1])
-        hi = np.maximum(directed[:, 0], directed[:, 1])
-        keys = np.unique(lo * n + hi)
-        return np.stack([keys // n, keys % n], axis=1)
-
     def build_queue(self):
         """Rebuild the quadric store from the current positions and
         compute a candidate for every live edge."""
         self._heap = []
         self._versions = {}
         self._balls = {}
-        self._recompute_quadric_rows(range(len(self.mesh.vertices)))
-        self._push_edges(self._edge_array(), heapify=True)
+        mesh = self.mesh
+        n = len(mesh.vertices)
+        self._recompute_quadric_rows(range(n))
+        self._push_edges(_edge_keys(mesh.live_triangle_array(), n), heapify=True)
 
     def refresh(self, center, ring=None):
         """Rewrite the quadric rows of ``center`` (the merged vertex) and
@@ -387,16 +387,10 @@ class Decimator:
 
         incident = mesh._vertex_tris
         rows = mesh.triangles[list(set().union(*(incident[v] for v in verts)))]
-        n = len(mesh.vertices)
-        directed = np.concatenate([rows[:, [0, 1]], rows[:, [1, 2]], rows[:, [2, 0]]])
-        lo = np.minimum(directed[:, 0], directed[:, 1])
-        hi = np.maximum(directed[:, 0], directed[:, 1])
         mark = self._mark
         mark[verts] = True
-        touched = mark[lo] | mark[hi]
+        edges = _edge_keys(rows, len(mesh.vertices), mark)
         mark[verts] = False
-        keys = np.unique(lo[touched] * n + hi[touched])
-        edges = np.stack([keys // n, keys % n], axis=1)
         self._push_edges(edges)
         return edges
 

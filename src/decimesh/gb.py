@@ -12,6 +12,7 @@ never applied implicitly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -218,12 +219,20 @@ def g_pol(atoms, params: GBParams = GBParams(), radii=None) -> float:
         return 0.0
     centers = np.array([a.center for a in atoms])
     charges = np.array([a.charge for a in atoms])
-    diff = centers[:, None, :] - centers[None, :, :]
-    r2 = np.einsum("ijk,ijk->ij", diff, diff)
-    rr = np.outer(r, r)
-    denom = np.sqrt(r2 + rr * np.exp(-r2 / (4.0 * rr)))
-    terms = np.outer(charges, charges) / denom
-    return -0.5 * tau * math.fsum(terms.ravel().tolist())
+    # rows of about 2**18 pair terms at a time bound the scratch memory;
+    # fsum is exactly rounded, so the blocking cannot change the result
+    step = max(1, 2**18 // len(r))
+
+    def blocks():
+        for start in range(0, len(r), step):
+            rows = slice(start, start + step)
+            diff = centers[rows, None, :] - centers[None, :, :]
+            r2 = np.einsum("ijk,ijk->ij", diff, diff)
+            rr = np.outer(r[rows], r)
+            denom = np.sqrt(r2 + rr * np.exp(-r2 / (4.0 * rr)))
+            yield (np.outer(charges[rows], charges) / denom).ravel().tolist()
+
+    return -0.5 * tau * math.fsum(itertools.chain.from_iterable(blocks()))
 
 
 def surface_area(mesh: TriangleMesh) -> float:

@@ -2,16 +2,18 @@
 
 Positions are plain ``(x, y, z)`` float tuples in these helpers; the hot
 decimation loop calls them far too often for small-array numpy to pay
-off. Vectorized triangle quality lives in
-:func:`decimesh.mesh.quality_summary` (whole-mesh statistics) and
-``decimesh.costs._quality_array`` (the batched ``pb`` engine). Lengths
-are in Angstroms everywhere.
+off. The one vectorized exception is :func:`triangle_quality_array`,
+the array form of :func:`triangle_quality` that the batched ``pb``
+engine and :func:`decimesh.mesh.quality_summary` share. Lengths are in
+Angstroms everywhere.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DegenerateTriangle
 
@@ -133,6 +135,33 @@ def triangle_quality(a, b, c):
     if amin <= 0.0:
         raise DegenerateTriangle("triangle with a zero angle")
     return math.sqrt(lmax2 / lmin2) + amax / amin
+
+
+def triangle_quality_array(a, b, c):
+    """:func:`triangle_quality` over corner arrays laid out
+    coordinate-first, (3, ...) and broadcastable, with the same
+    operation order; NaN where the scalar version raises."""
+    ux = b[0] - c[0]; uy = b[1] - c[1]; uz = b[2] - c[2]
+    vx = c[0] - a[0]; vy = c[1] - a[1]; vz = c[2] - a[2]
+    wx = a[0] - b[0]; wy = a[1] - b[1]; wz = a[2] - b[2]
+    la2 = ux * ux + uy * uy + uz * uz
+    lb2 = vx * vx + vy * vy + vz * vz
+    lc2 = wx * wx + wy * wy + wz * wz
+    lmin2 = np.minimum(np.minimum(la2, lb2), lc2)
+    lmax2 = np.maximum(np.maximum(la2, lb2), lc2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ca = (lb2 + lc2 - la2) / (2.0 * np.sqrt(lb2 * lc2))
+        cb = (lc2 + la2 - lb2) / (2.0 * np.sqrt(lc2 * la2))
+        cc = (la2 + lb2 - lc2) / (2.0 * np.sqrt(la2 * lb2))
+        # arccos is decreasing: the extreme angles come from the extreme
+        # cosines, which saves a third of the arccos work
+        cmax = np.maximum(np.maximum(ca, cb), cc)
+        cmin = np.minimum(np.minimum(ca, cb), cc)
+        amin = np.arccos(np.maximum(np.minimum(cmax, 1.0), -1.0))
+        amax = np.arccos(np.maximum(np.minimum(cmin, 1.0), -1.0))
+        q = np.sqrt(lmax2 / lmin2) + amax / amin
+    q[(lmin2 <= 0.0) | ~(amin > 0.0)] = np.nan
+    return q
 
 
 def is_well_centered(a, b, c):

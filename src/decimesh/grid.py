@@ -75,19 +75,7 @@ class UniformGrid:
 
     def query_edge(self, p1, p2, radius):
         """Sorted indices within ``radius`` of either endpoint (closed balls)."""
-        if not len(self.centers) or radius < 0:
-            return []
-        cand = set(self._candidates(p1, radius))
-        cand.update(self._candidates(p2, radius))
-        if not cand:
-            return []
-        ids = sorted(cand)
-        c = self.centers[ids]
-        d1 = ((c - np.asarray(p1, dtype=float)) ** 2).sum(axis=1)
-        d2 = ((c - np.asarray(p2, dtype=float)) ** 2).sum(axis=1)
-        r2 = radius * radius
-        keep = (d1 <= r2) | (d2 <= r2)
-        return [i for i, ok in zip(ids, keep) if ok]
+        return sorted(set(self.query_ball(p1, radius)).union(self.query_ball(p2, radius)))
 
 
 def _atom_centers(atoms):

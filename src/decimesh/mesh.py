@@ -699,24 +699,15 @@ def quality_summary(mesh: TriangleMesh) -> QualitySummary:
     a = mesh.vertices[tris[:, 0]]
     b = mesh.vertices[tris[:, 1]]
     c = mesh.vertices[tris[:, 2]]
-    la = np.linalg.norm(b - c, axis=1)
-    lb = np.linalg.norm(c - a, axis=1)
-    lc = np.linalg.norm(a - b, axis=1)
     area2 = np.linalg.norm(np.cross(b - a, c - a), axis=1)
     good = area2 > 2.0 * geometry.EPS_AREA
     n_degen = int((~good).sum())
-    la, lb, lc = la[good], lb[good], lc[good]
-    sides = np.stack([la, lb, lc], axis=1)
-    lmin = sides.min(axis=1)
-    lmax = sides.max(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ca = np.clip((lb**2 + lc**2 - la**2) / (2 * lb * lc), -1.0, 1.0)
-        cb = np.clip((lc**2 + la**2 - lb**2) / (2 * lc * la), -1.0, 1.0)
-        cc = np.clip((la**2 + lb**2 - lc**2) / (2 * la * lb), -1.0, 1.0)
-    ang = np.arccos(np.stack([ca, cb, cc], axis=1))
-    q = lmax / lmin + ang.max(axis=1) / ang.min(axis=1)
-
-    la2, lb2, lc2 = la**2, lb**2, lc**2
+    a, b, c = a[good].T, b[good].T, c[good].T
+    q = geometry.triangle_quality_array(a, b, c)
+    # a sliver that passes the area filter can still round to a zero angle
+    q[np.isnan(q)] = math.inf
+    # the squared sides of geometry.is_well_centered, in its order
+    la2, lb2, lc2 = (((u - v) ** 2).sum(axis=0) for u, v in ((b, c), (c, a), (a, b)))
     wc = (la2 + lb2 > lc2) & (lb2 + lc2 > la2) & (lc2 + la2 > lb2)
 
     hist = {}

@@ -14,7 +14,7 @@ import hashlib
 import io as _stdio
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from . import __version__
 from .decimate import DecimationConfig, decimate
@@ -38,23 +38,6 @@ class HarnessParams:
     veto_flips: bool = True
 
 
-_ROW_FIELDS = (
-    "cost_kind",
-    "target_faces",
-    "actual_faces",
-    "g_pol",
-    "delta_g_pol",
-    "surface_area",
-    "g_nonpolar",
-    "min_quality",
-    "mean_quality",
-    "well_centered_fraction",
-    "collapses",
-    "wall_time_s",
-    "error",
-)
-
-
 @dataclass
 class ReportRow:
     cost_kind: str
@@ -70,6 +53,9 @@ class ReportRow:
     collapses: int | None = None
     wall_time_s: float | None = None
     error: str | None = None
+
+
+_ROW_FIELDS = tuple(f.name for f in fields(ReportRow))
 
 
 @dataclass

@@ -87,7 +87,7 @@ def test_decimate_gb_requires_atoms(tmp_path, capsys):
     assert "MissingAtoms" in capsys.readouterr().err
 
 
-def test_decimate_gb_variant(tmp_path):
+def test_decimate_gb_qe(tmp_path):
     mesh, atoms = synthetic_molecule(n_atoms=5, level=1, radius=4.0, seed=2)
     mesh_path = tmp_path / "in.off"
     atoms_path = tmp_path / "mol.txt"
@@ -95,8 +95,8 @@ def test_decimate_gb_variant(tmp_path):
     save_atoms(atoms, atoms_path)
     code = cli_main(
         [
-            "decimate", "--mesh", str(mesh_path), "--cost", "gb",
-            "--gb-variant", "qe", "--atoms", str(atoms_path),
+            "decimate", "--mesh", str(mesh_path), "--cost", "gb_qe",
+            "--atoms", str(atoms_path),
             "--target-faces", "40", "--out", str(tmp_path / "out.off"),
         ]
     )

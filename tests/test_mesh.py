@@ -24,7 +24,8 @@ from decimesh.errors import (
     UnreferencedVertexWarning,
     ValidationError,
 )
-from decimesh.shapes import icosahedron, icosphere, octahedron, tetrahedron
+from decimesh.geometry import is_well_centered, triangle_quality
+from decimesh.shapes import icosahedron, icosphere, octahedron, tetrahedron, uv_sphere
 
 
 def bipyramid():
@@ -309,6 +310,47 @@ def test_quality_summary_matches_scalar(sphere320):
     ]
     assert qs.well_centered_fraction == pytest.approx(sum(wc) / len(wc))
     assert sum(qs.histogram.values()) == 320
+
+
+def rotated_cube():
+    """The cube [-1, 1]^3 turned 45 degrees about z: every face triangle
+    is a right triangle, and its rounded coordinates decide whether the
+    squared sides still add up exactly."""
+    corners = np.array([(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)], float)
+    c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
+    corners = corners @ np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+    faces = []
+    for axis in range(3):
+        for side in (0, 1):
+            # b and d differ from a in one bit each, e in both
+            a, b, d, e = [i for i in range(8) if (i >> (2 - axis)) & 1 == side]
+            faces += [(a, b, e), (a, e, d)]
+    return TriangleMesh(corners, faces)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [rotated_cube, lambda: icosphere(2), lambda: uv_sphere(12, 6, radius=10.0)],
+    ids=["rotated_cube", "icosphere2", "uv_sphere"],
+)
+def test_quality_summary_agrees_with_scalar_predicates(make):
+    mesh = make()
+    corners = [mesh.triangle_positions(t) for t in mesh.live_triangle_ids().tolist()]
+    qs = quality_summary(mesh)
+    wc = [is_well_centered(*p) for p in corners]
+    assert qs.well_centered_fraction == sum(wc) / len(wc)
+    assert qs.min_quality == pytest.approx(
+        min(triangle_quality(*p) for p in corners), rel=1e-15
+    )
+
+
+def test_quality_summary_scores_needle_inf():
+    # area 0.5 passes the filter, but the smallest angle rounds to zero
+    mesh = TriangleMesh([(0, 0, 0), (1e6, 0, 0), (1e6, 1e-6, 0)], [(0, 1, 2)])
+    qs = quality_summary(mesh)
+    assert qs.n_degenerate == 0
+    assert qs.min_quality == math.inf
+    assert sum(qs.histogram.values()) == 0
 
 
 def test_edges_and_edge_table_agree(octa):

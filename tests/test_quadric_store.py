@@ -7,7 +7,7 @@ import pytest
 
 from decimesh import Atom, grid_build, placement_for
 from decimesh.costs import pb_placements
-from decimesh.decimate import DecimationConfig, Decimator
+from decimesh.decimate import DecimationConfig, Decimator, _edge_keys
 from decimesh.errors import CandidateInfeasible, IsolatedVertex
 from decimesh.mesh import edge_star
 from decimesh.quadrics import (
@@ -87,7 +87,7 @@ def test_batch_candidates_equal_minimize_quadric(flatten):
         mesh.vertices[:, 2] *= 1e-7
     dec = Decimator(mesh, DecimationConfig(cost_kind="qe", target_faces=100))
     dec.build_queue()
-    edges = dec._edge_array()
+    edges = _edge_keys(mesh.live_triangle_array(), len(mesh.vertices))
     got = dec._batch_candidates(edges)
     singular = 0
     for (a, b), cand in zip(edges.tolist(), got):

@@ -54,7 +54,6 @@ def build_parser():
     p.add_argument("--atoms")
     p.add_argument("--rho", type=float, default=5.0)
     p.add_argument("--lambda", dest="lam", type=float, default=1e-8)
-    p.add_argument("--stages", type=int, default=1)
     p.add_argument("--no-veto-flips", action="store_true",
                    help="apply collapses even when a ring triangle flips")
     p.add_argument("--validate-every", type=int, default=0, metavar="K",
@@ -83,7 +82,6 @@ def build_parser():
     p.add_argument("--eps-p", type=float, default=1.0)
     p.add_argument("--eps-w", type=float, default=80.0)
     p.add_argument("--quadrature", choices=["1pt", "3pt"], default="1pt")
-    p.add_argument("--stages", type=int, default=1)
     return parser
 
 
@@ -104,7 +102,6 @@ def _cmd_decimate(args):
     config = DecimationConfig(
         cost_kind=args.cost,
         target_faces=args.target_faces,
-        stages=args.stages,
         rho=args.rho,
         lam=args.lam,
         veto_flips=not args.no_veto_flips,
@@ -156,7 +153,6 @@ def _cmd_compare(args):
         eps_p=args.eps_p,
         eps_w=args.eps_w,
         quadrature=args.quadrature,
-        stages=args.stages,
     )
     report = run_compare(mesh, atoms, costs, targets, params=params)
     for path in args.report:

@@ -71,20 +71,26 @@ def parse_off(text, validate_mesh=True) -> TriangleMesh:
     if n_verts < 0 or n_faces < 0:
         raise ParseError("negative counts", lineno)
 
+    # a header may claim more rows than the file holds; check before
+    # allocating arrays of the claimed size
+    rows = list(lines)
+    if len(rows) < n_verts + n_faces:
+        raise ParseError(
+            f"header claims {n_verts} vertices and {n_faces} faces, "
+            f"but {len(rows)} lines follow it", lineno,
+        )
+    if len(rows) > n_verts + n_faces:
+        lineno, line = rows[n_verts + n_faces]
+        raise ParseError(f"unexpected trailing content {line!r}", lineno)
+
     verts = np.empty((n_verts, 3))
     for k in range(n_verts):
-        try:
-            lineno, line = next(lines)
-        except StopIteration:
-            raise ParseError(f"expected {n_verts} vertices, got {k}") from None
+        lineno, line = rows[k]
         verts[k] = _floats(line.split(), 3, lineno, "coordinate")
 
     faces = np.empty((n_faces, 3), dtype=np.int64)
     for k in range(n_faces):
-        try:
-            lineno, line = next(lines)
-        except StopIteration:
-            raise ParseError(f"expected {n_faces} faces, got {k}") from None
+        lineno, line = rows[n_verts + k]
         parts = line.split()
         if not parts:
             raise ParseError("empty face line", lineno)
@@ -104,10 +110,7 @@ def parse_off(text, validate_mesh=True) -> TriangleMesh:
             if i < 0 or i >= n_verts:
                 raise ParseError(f"vertex index {i} out of range", lineno)
         faces[k] = idx
-
-    extra = next(lines, None)
-    if extra is not None:
-        raise ParseError(f"unexpected trailing content {extra[1]!r}", extra[0])
+    del rows  # free the lines before the mesh build, the memory peak of a parse
 
     mesh = TriangleMesh(verts, faces)
     if validate_mesh:

@@ -244,7 +244,7 @@ def validate(mesh: TriangleMesh) -> MeshStats:
     )
     if same.any():
         t = int(np.argmax(same))
-        raise DegenerateTriangle(f"triangle {tuple(tris[t])} repeats a vertex index")
+        raise DegenerateTriangle(f"triangle {tuple(tris[t].tolist())} repeats a vertex index")
 
     n = len(mesh.vertices)
     c0, c1, c2 = tris[:, 0], tris[:, 1], tris[:, 2]

@@ -1,10 +1,12 @@
 """Comparison harness: decimate under several costs and measure what each
 policy does to the solvation energy.
 
-Every (cost kind, face target) cell decimates a fresh copy of the input,
-recomputes Born radii and the polarization energy on the result, and
-appends one report row; a reference row on the undecimated mesh comes
-first. Rows that fail record the error and the sweep continues.
+Each cost kind decimates one copy of the input in a single pass down to
+every distinct face target in descending order (the greedy order does
+not depend on the target; Hoppe 1996), recomputing Born radii and the
+polarization energy at each stop for one report row; a reference row on
+the undecimated mesh comes first. Rows that fail record the error and
+the sweep continues.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import hashlib
 import io as _stdio
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import __version__
 from .decimate import DecimationConfig, decimate
@@ -34,8 +36,6 @@ class HarnessParams:
     eps_w: float = 80.0
     gamma: float = 0.005
     quadrature: str = "centroid_1pt"
-    stages: int = 1
-    veto_flips: bool = True
 
 
 @dataclass
@@ -132,7 +132,9 @@ def run_compare(mesh, atoms, cost_kinds, face_targets, params=None) -> Compariso
     ``face_targets`` entries may be absolute counts, fractions of the
     input face count, or percent strings. Row order is deterministic:
     the full-resolution reference first, then cost kinds and targets in
-    the order given. A failed cell records its error and the sweep
+    the order given, duplicates included. A row's ``collapses`` counts
+    from the input and its ``wall_time_s`` times its own step down from
+    the previous target. A failed cell records its error and the sweep
     continues.
     """
     params = params or HarnessParams()
@@ -185,41 +187,36 @@ def run_compare(mesh, atoms, cost_kinds, face_targets, params=None) -> Compariso
         )
 
     for kind in cost_kinds:
-        for target in targets:
+        work = mesh.copy()
+        collapses = 0
+        rows = {}
+        for target in sorted(set(targets), reverse=True):
             t0 = time.perf_counter()
             try:
-                work = mesh.copy()
                 config = DecimationConfig(
-                    cost_kind=kind,
-                    target_faces=target,
-                    stages=params.stages,
-                    rho=params.rho,
-                    lam=params.lam,
-                    veto_flips=params.veto_flips,
+                    cost_kind=kind, target_faces=target, rho=params.rho, lam=params.lam
                 )
                 needs_atoms = kind in ("gb", "gb_qe")
                 work, trace = decimate(work, config, atoms=atoms if needs_atoms else None)
+                collapses += trace.n_collapses
                 cell = _measure(work, atoms, gb_params, rule, params.gamma,
                                 reference_g=ref_g)
-                report.rows.append(
-                    ReportRow(
-                        cost_kind=kind,
-                        target_faces=target,
-                        actual_faces=work.n_faces,
-                        collapses=trace.n_collapses,
-                        wall_time_s=time.perf_counter() - t0,
-                        **cell,
-                    )
+                rows[target] = ReportRow(
+                    cost_kind=kind,
+                    target_faces=target,
+                    actual_faces=work.n_faces,
+                    collapses=collapses,
+                    wall_time_s=time.perf_counter() - t0,
+                    **cell,
                 )
             except (DecimeshError, ValueError) as exc:
-                report.rows.append(
-                    ReportRow(
-                        cost_kind=kind,
-                        target_faces=target,
-                        wall_time_s=time.perf_counter() - t0,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
+                rows[target] = ReportRow(
+                    cost_kind=kind,
+                    target_faces=target,
+                    wall_time_s=time.perf_counter() - t0,
+                    error=f"{type(exc).__name__}: {exc}",
                 )
+        report.rows.extend(replace(rows[target]) for target in targets)
 
     _append_informational_notes(report)
     return report

@@ -47,6 +47,13 @@ def test_validate_bad_mesh(tmp_path, capsys):
     assert "NonManifoldEdge" in capsys.readouterr().err
 
 
+def test_validate_over_claiming_header(tmp_path, capsys):
+    path = tmp_path / "huge.off"
+    path.write_text("OFF\n1000000000000000 0 0\n")
+    assert cli_main(["validate", "--mesh", str(path)]) == 1
+    assert "error: ParseError" in capsys.readouterr().err
+
+
 def test_missing_file(capsys):
     assert cli_main(["validate", "--mesh", "/nonexistent.off"]) == 1
 

@@ -62,6 +62,13 @@ def test_parse_rejects_short_file():
         parse_off("OFF\n4 4 6\n0 0 0\n")
 
 
+def test_parse_rejects_over_claiming_header():
+    # 25 bytes that claim 10**15 vertices: fail before allocating them
+    with pytest.raises(ParseError) as info:
+        parse_off("OFF\n1000000000000000 0 0\n")
+    assert "header claims 1000000000000000 vertices" in str(info.value)
+
+
 def test_parse_rejects_out_of_range_index():
     text = TET_OFF.replace("3 1 3 2", "3 1 3 9")
     with pytest.raises(ParseError):

@@ -85,8 +85,9 @@ def test_duplicate_triangle_rejected():
 
 def test_repeated_vertex_index_rejected():
     mesh = TriangleMesh([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 1)])
-    with pytest.raises(DegenerateTriangle):
+    with pytest.raises(DegenerateTriangle) as info:
         validate(mesh)
+    assert str(info.value) == "triangle (0, 1, 1) repeats a vertex index"
 
 
 def test_inconsistent_orientation_rejected(tetra):

@@ -1,11 +1,16 @@
 import csv
 import io
 import json
+from dataclasses import asdict
 
 import pytest
 
+from decimesh import report as report_module
 from decimesh import run_compare
-from decimesh.report import HarnessParams, resolve_targets
+from decimesh.decimate import DecimationConfig, decimate
+from decimesh.errors import DecimeshError
+from decimesh.gb import GBParams, quadrature_rule
+from decimesh.report import HarnessParams, ReportRow, _measure, resolve_targets
 
 from conftest import synthetic_molecule
 
@@ -114,3 +119,64 @@ def test_reproducible_values():
         assert a.g_pol == b.g_pol
         assert a.surface_area == b.surface_area
         assert a.actual_faces == b.actual_faces
+
+
+ALL_KINDS = ["qe", "vol", "pb", "gb", "gb_qe"]
+# unsorted, duplicated, above the input's face count and below the minimum
+SWEEP = ["25%", "75%", "25%", 2000, "10%", 2]
+
+
+@pytest.fixture(scope="module")
+def sweep_molecule():
+    return synthetic_molecule(n_atoms=6, level=2, radius=6.0, seed=5)
+
+
+def per_cell_row(mesh, atoms, kind, target, ref_g):
+    """The row of one (kind, target) cell from a fresh copy of the input."""
+    try:
+        config = DecimationConfig(cost_kind=kind, target_faces=target)
+        needs_atoms = kind in ("gb", "gb_qe")
+        work, trace = decimate(mesh.copy(), config, atoms=atoms if needs_atoms else None)
+        cell = _measure(work, atoms, GBParams(), quadrature_rule("centroid_1pt"), 0.005,
+                        reference_g=ref_g)
+        return ReportRow(cost_kind=kind, target_faces=target, actual_faces=work.n_faces,
+                         collapses=trace.n_collapses, **cell)
+    except (DecimeshError, ValueError) as exc:
+        return ReportRow(cost_kind=kind, target_faces=target,
+                         error=f"{type(exc).__name__}: {exc}")
+
+
+def test_single_pass_rows_match_per_cell_runs(sweep_molecule):
+    mesh, atoms = sweep_molecule
+    report = run_compare(mesh, atoms, ALL_KINDS, SWEEP)
+    ref_g = report.rows[0].g_pol
+    targets = resolve_targets(mesh.n_faces, SWEEP)
+    expected = [report.rows[0]] + [
+        per_cell_row(mesh, atoms, kind, target, ref_g)
+        for kind in ALL_KINDS for target in targets
+    ]
+
+    def untimed(row):
+        return {**asdict(row), "wall_time_s": None}
+
+    assert [untimed(r) for r in report.rows] == [untimed(r) for r in expected]
+    assert any(r.error for r in report.rows)  # the target below the minimum
+
+
+def test_one_decimation_pass_per_kind(monkeypatch, sweep_molecule):
+    mesh, atoms = sweep_molecule
+    calls = []
+    real = report_module.decimate
+
+    def recording(work, config, **kwargs):
+        out = real(work, config, **kwargs)
+        calls.append((config.cost_kind, out[1].n_collapses))
+        return out
+
+    monkeypatch.setattr(report_module, "decimate", recording)
+    run_compare(mesh, atoms, ALL_KINDS, SWEEP)
+    valid = {t for t in resolve_targets(mesh.n_faces, SWEEP) if t >= 4}
+    for kind in ALL_KINDS:
+        done = [n for k, n in calls if k == kind]
+        assert len(done) == len(valid)
+        assert sum(done) == (mesh.n_faces - min(valid)) // 2

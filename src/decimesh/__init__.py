@@ -25,7 +25,6 @@ from .decimate import (
     DecimationTrace,
     Decimator,
     decimate,
-    identity_hook,
 )
 from .errors import DecimeshError, InputError, NumericalError
 from .gb import (
@@ -123,7 +122,6 @@ __all__ = [
     "g_pol",
     "grid_build",
     "grid_query_edge",
-    "identity_hook",
     "load_atoms",
     "load_mesh",
     "mesh_quadrature",

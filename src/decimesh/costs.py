@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, replace
+from itertools import starmap
 from typing import Optional
 
 import numpy as np
@@ -84,18 +85,9 @@ def vol_quadric(star: EdgeStar) -> Quadric:
     """Quadratic form (1/36) sum G^T G over every triangle incident to
     either endpoint, wings included; evaluating it at v gives the sum of
     squared signed tet volumes of v over those triangles."""
-    xx = xy = xz = xw = yy = yz = yw = zz = zw = ww = 0.0
-    for (a, b, c) in star.all_triangles_before():
-        g0, g1, g2, g3 = _volume_row(a, b, c)
-        xx += g0 * g0; xy += g0 * g1; xz += g0 * g2; xw += g0 * g3
-        yy += g1 * g1; yz += g1 * g2; yw += g1 * g3
-        zz += g2 * g2; zw += g2 * g3
-        ww += g3 * g3
+    q = Quadric.from_planes(starmap(_volume_row, star.all_triangles_before()))
     s = 1.0 / 36.0
-    return Quadric(
-        s * xx, s * xy, s * xz, s * xw, s * yy,
-        s * yz, s * yw, s * zz, s * zw, s * ww,
-    )
+    return Quadric._make([s * x for x in q])
 
 
 def f_vol(star: EdgeStar, vbar) -> float:

@@ -1,4 +1,4 @@
-"""Greedy priority-queue edge-collapse driver with staged execution.
+"""Greedy priority-queue edge-collapse driver: one pass per run.
 
 The queue is a lazy-deletion binary heap: every queued entry carries a
 per-edge version stamp, and a committed collapse bumps the stamps of all
@@ -16,10 +16,12 @@ the ``pb`` analytic candidate minimize them in batches that equal
 ``minimize_quadric`` bit for bit, so an audit against the scalar
 oracles matches every queued candidate exactly.
 
-Between stages a pluggable smoothing hook may move vertices (never
-connectivity); the quadric store and the whole queue are rebuilt
-afterwards because a global position change invalidates every cached
-cost.
+A run builds the queue once and commits collapses until the face target
+is reached or the queue runs dry. Nothing moves a vertex except a
+commit, so the per-commit refresh keeps every queued candidate exact;
+callers that move vertices themselves call :meth:`Decimator.build_queue`
+again, which recomputes the store and every candidate from the current
+positions.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .costs import (
 from .errors import (
     CandidateInfeasible,
     DecimeshError,
-    HookViolation,
     InvalidInput,
     MissingAtoms,
     NotAnEdge,
@@ -49,6 +50,7 @@ from .errors import (
 )
 from .grid import grid_build
 from .mesh import (
+    QualitySummary,
     StarCache,
     TriangleMesh,
     _apply_collapse,
@@ -95,20 +97,16 @@ class DecimationConfig:
 
     cost_kind: str
     target_faces: int
-    stages: int = 1
     rho: float = 5.0
     lam: float = 1e-8
     veto_flips: bool = True
     validate_every: int = 0
-    area_weight: bool = False
 
     def __post_init__(self):
         if self.cost_kind not in COST_KINDS:
             raise ValueError(f"cost_kind must be one of {COST_KINDS}")
         if self.target_faces < 4:
             raise ValueError("target_faces must be at least 4")
-        if self.stages < 1:
-            raise ValueError("stages must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -121,27 +119,17 @@ class TraceRecord:
     flipped: int = 0
 
 
-@dataclass(frozen=True)
-class StageStats:
-    stage: int
-    faces: int
-    min_quality: float
-    mean_quality: float
-    well_centered_fraction: float
-    histogram: dict
-
-
 @dataclass
 class DecimationTrace:
     """Everything a run did: per-collapse records, rejection counters by
-    reason, per-stage quality statistics, and whether the queue ran dry
-    before reaching the target. ``stale_pops`` counts popped entries
-    whose stamp was no longer current, the edges of retired vertices
-    included."""
+    reason, the output mesh's quality statistics, and whether the queue
+    ran dry before reaching the target. ``stale_pops`` counts popped
+    entries whose stamp was no longer current, the edges of retired
+    vertices included."""
 
     records: list = field(default_factory=list)
     rejections: dict = field(default_factory=dict)
-    stages: list = field(default_factory=list)
+    quality: QualitySummary | None = None
     stale_pops: int = 0
     queue_exhausted: bool = False
 
@@ -153,15 +141,11 @@ class DecimationTrace:
         self.rejections[reason] = self.rejections.get(reason, 0) + 1
 
 
-def identity_hook(mesh):
-    """Default stage hook: no smoothing."""
-    return mesh
-
-
 class Decimator:
     """Stateful driver; use :func:`decimate` unless you need the internals.
 
-    Mutates the mesh it is given. One collapse at a time; all candidate
+    Mutates the mesh it is given. :meth:`run` is one greedy pass: one
+    queue build, then :meth:`step` one collapse at a time. All candidate
     evaluation is pure, so only the commit path touches shared state.
     """
 
@@ -187,11 +171,11 @@ class Decimator:
         self._versions = {}
         # sorted atom ids within rho of each vertex, for gb/gb_qe
         self._balls = {}
-        # the only quadric store: row v packs vertex_quadric(mesh, v,
-        # area_weight) bit for bit, or zeros where that raises
-        # IsolatedVertex; build_queue rebuilds every row and each commit
-        # rewrites the rows of the merged vertex and its 1-ring (all
-        # kinds but vol, which reads no endpoint quadric)
+        # the only quadric store: row v packs vertex_quadric(mesh, v)
+        # bit for bit, or zeros where that raises IsolatedVertex;
+        # build_queue rebuilds every row and each commit rewrites the
+        # rows of the merged vertex and its 1-ring (all kinds but vol,
+        # which reads no endpoint quadric)
         self._qv = np.zeros((len(mesh.vertices), 10))
         self._mark = np.zeros(len(mesh.vertices), dtype=bool)
 
@@ -228,9 +212,9 @@ class Decimator:
         """Whether each vertex of id array ``v`` has a nondegenerate
         incident triangle, i.e. ``vertex_quadric`` does not raise
         ``IsolatedVertex``. Every entry of the trace is a sum of
-        nonnegative terms, and each plane adds its positive weight
-        times a unit normal's squared length, so the trace is positive
-        exactly when there is a plane."""
+        nonnegative terms, and each plane adds at least its unit
+        normal's squared length, 1, so the trace is positive exactly
+        when there is a plane."""
         qv = self._qv
         return qv[v, 0] + qv[v, 4] + qv[v, 7] + qv[v, 9] > 0.0
 
@@ -417,9 +401,7 @@ class Decimator:
         qv[verts] = 0.0
         for start in range(0, len(owners), _CHUNK):
             part = slice(start, start + _CHUNK)
-            rows, good = plane_quadric_rows(
-                mesh.vertices, mesh.triangles[tri_ids[part]], self.config.area_weight
-            )
+            rows, good = plane_quadric_rows(mesh.vertices, mesh.triangles[tri_ids[part]])
             # add.at adds pair by pair, in order, like the scalar loop
             np.add.at(qv, owners[part][good], rows[good])
 
@@ -483,72 +465,22 @@ class Decimator:
             return record
         return None
 
-    def run(self, audit=None, stage_hook=None):
+    def run(self, audit=None):
+        """Build the queue once and commit collapses down to the face
+        target, or until no valid candidate is left; returns (mesh,
+        trace) with the output mesh's quality in ``trace.quality``."""
         mesh = self.mesh
-        cfg = self.config
-        faces0 = mesh.n_faces
-        target = min(cfg.target_faces, faces0)
-        total = faces0 - target
-        stage_targets = [
-            faces0 - (total * k) // cfg.stages for k in range(1, cfg.stages + 1)
-        ]
-        stage_targets[-1] = target
-
-        hook = stage_hook if stage_hook is not None else identity_hook
+        trace = self.trace
         self.build_queue()
-        exhausted = False
-        for stage_index, stage_target in enumerate(stage_targets, start=1):
-            while mesh.n_faces > stage_target:
-                if self.step(audit=audit) is None:
-                    exhausted = True
-                    break
-            mesh = self._apply_hook(hook)
-            qs = quality_summary(mesh)
-            self.trace.stages.append(
-                StageStats(
-                    stage=stage_index,
-                    faces=mesh.n_faces,
-                    min_quality=qs.min_quality,
-                    mean_quality=qs.mean_quality,
-                    well_centered_fraction=qs.well_centered_fraction,
-                    histogram=qs.histogram,
-                )
-            )
-            if exhausted:
+        while mesh.n_faces > self.config.target_faces:
+            if self.step(audit=audit) is None:
+                trace.queue_exhausted = True
                 break
-            if hook is not identity_hook and stage_index < len(stage_targets):
-                self.build_queue()
-        self.trace.queue_exhausted = exhausted
-        return mesh, self.trace
-
-    def _apply_hook(self, hook):
-        mesh = self.mesh
-        if hook is identity_hook:
-            return mesh
-        before_tris = mesh.live_triangle_array().copy()
-        before_alive = mesh._vertex_alive.copy()
-        result = hook(mesh)
-        if result is None:
-            result = mesh
-        if not isinstance(result, TriangleMesh):
-            raise HookViolation("stage hook must return a TriangleMesh or None")
-        after_tris = result.live_triangle_array()
-        if (
-            len(after_tris) != len(before_tris)
-            or not np.array_equal(after_tris, before_tris)
-            or not np.array_equal(result._vertex_alive, before_alive)
-        ):
-            raise HookViolation("stage hook changed mesh connectivity")
-        try:
-            validate(result)
-        except DecimeshError as exc:
-            raise HookViolation(f"stage hook broke mesh validity: {exc}") from exc
-        self.mesh = result
-        return result
+        trace.quality = quality_summary(mesh)
+        return mesh, trace
 
 
-def decimate(mesh: TriangleMesh, config: DecimationConfig, atoms=None,
-             audit=None, stage_hook=None):
+def decimate(mesh: TriangleMesh, config: DecimationConfig, atoms=None, audit=None):
     """Greedily collapse edges of ``mesh`` (in place) down to the target.
 
     Returns (mesh, trace). The trace's ``queue_exhausted`` flag is set
@@ -557,4 +489,4 @@ def decimate(mesh: TriangleMesh, config: DecimationConfig, atoms=None,
     candidate)`` immediately before each commit, which is how the test
     suite checks the greedy property by exhaustive scan.
     """
-    return Decimator(mesh, config, atoms=atoms).run(audit=audit, stage_hook=stage_hook)
+    return Decimator(mesh, config, atoms=atoms).run(audit=audit)

@@ -76,10 +76,6 @@ class InvalidInput(InputError):
     """Decimation input failed validation."""
 
 
-class HookViolation(DecimeshError):
-    """A stage hook changed mesh connectivity or broke validity."""
-
-
 # --- solvation energetics ---------------------------------------------------
 
 class NonPositiveIntegral(NumericalError):

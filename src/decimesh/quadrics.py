@@ -69,32 +69,24 @@ class Quadric(NamedTuple):
         return _ZERO
 
     @classmethod
-    def from_plane(cls, plane, weight=1.0):
+    def from_plane(cls, plane):
         a, b, c, d = plane
-        w = weight
         return cls(
-            w * a * a, w * a * b, w * a * c, w * a * d,
-            w * b * b, w * b * c, w * b * d,
-            w * c * c, w * c * d,
-            w * d * d,
+            a * a, a * b, a * c, a * d,
+            b * b, b * c, b * d,
+            c * c, c * d,
+            d * d,
         )
 
     @classmethod
-    def from_planes(cls, planes, weights=None):
+    def from_planes(cls, planes):
         """Sum of p p^T over an iterable of (a, b, c, d) planes."""
         xx = xy = xz = xw = yy = yz = yw = zz = zw = ww = 0.0
-        if weights is None:
-            for (a, b, c, d) in planes:
-                xx += a * a; xy += a * b; xz += a * c; xw += a * d
-                yy += b * b; yz += b * c; yw += b * d
-                zz += c * c; zw += c * d
-                ww += d * d
-        else:
-            for (a, b, c, d), w in zip(planes, weights):
-                xx += w * a * a; xy += w * a * b; xz += w * a * c; xw += w * a * d
-                yy += w * b * b; yz += w * b * c; yw += w * b * d
-                zz += w * c * c; zw += w * c * d
-                ww += w * d * d
+        for (a, b, c, d) in planes:
+            xx += a * a; xy += a * b; xz += a * c; xw += a * d
+            yy += b * b; yz += b * c; yw += b * d
+            zz += c * c; zw += c * d
+            ww += d * d
         return cls(xx, xy, xz, xw, yy, yz, yw, zz, zw, ww)
 
     def __add__(self, other):
@@ -134,29 +126,22 @@ class Quadric(NamedTuple):
 _ZERO = Quadric(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def vertex_quadric(mesh, v, area_weight=False) -> Quadric:
+def vertex_quadric(mesh, v) -> Quadric:
     """Quadric of vertex ``v`` from the planes of its incident triangles.
 
     Degenerate incident triangles contribute nothing; a vertex with no
-    nondegenerate incident triangle raises ``IsolatedVertex``. With
-    ``area_weight`` each plane term is scaled by its triangle's area
-    (off by default; plain plane sums make the quadric an exact sum of
-    squared distances).
+    nondegenerate incident triangle raises ``IsolatedVertex``. The
+    planes have unit normals, so the quadric is an exact sum of squared
+    distances.
     """
     planes = []
-    weights = [] if area_weight else None
     for t in mesh.incident_triangles(v):
-        p0, p1, p2 = mesh.triangle_positions(t)
-        plane = HomogeneousPlane.from_triangle(p0, p1, p2)
-        if plane is None:
-            continue
-        planes.append(plane)
-        if area_weight:
-            n = cross(sub(p1, p0), sub(p2, p0))
-            weights.append(0.5 * math.sqrt(dot(n, n)))
+        plane = HomogeneousPlane.from_triangle(*mesh.triangle_positions(t))
+        if plane is not None:
+            planes.append(plane)
     if not planes:
         raise IsolatedVertex(f"vertex {v} has no nondegenerate incident triangle")
-    return Quadric.from_planes(planes, weights)
+    return Quadric.from_planes(planes)
 
 
 def f_qe(q1: Quadric, q2: Quadric, vbar) -> float:
@@ -250,7 +235,7 @@ _PACK_I = [0, 0, 0, 0, 1, 1, 1, 2, 2, 3]
 _PACK_J = [0, 1, 2, 3, 1, 2, 3, 2, 3, 3]
 
 
-def plane_quadric_rows(vertices, tris, area_weight=False):
+def plane_quadric_rows(vertices, tris):
     """Packed plane quadric of each (T, 3) triangle row, and which rows
     are nondegenerate (``HomogeneousPlane.from_triangle`` not None).
 
@@ -270,8 +255,7 @@ def plane_quadric_rows(vertices, tris, area_weight=False):
     with np.errstate(divide="ignore", invalid="ignore"):
         plane[:3] /= m
     np.negative(a * p0[0] + b * p0[1] + c * p0[2], out=d)
-    weighted = plane * (0.5 * m) if area_weight else plane
-    rows = weighted[_PACK_I] * plane[_PACK_J]  # (w * a) * b, as the scalar sum
+    rows = plane[_PACK_I] * plane[_PACK_J]
     return rows.T, ~(m <= 2.0 * EPS_AREA)
 
 

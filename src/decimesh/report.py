@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import __version__
 from .decimate import DecimationConfig, decimate
-from .errors import DecimeshError
+from .errors import DecimeshError, InputError
 from .gb import GBParams, born_radii, g_pol, quadrature_rule, surface_area
 from .io import write_atoms, write_off
 from .mesh import quality_summary
@@ -93,20 +93,26 @@ class ComparisonReport:
 
 
 def resolve_targets(n_faces, items):
-    """Turn a target list (ints, fractions, or '50%' strings) into face counts."""
+    """Turn a target list (ints, fractions, or '50%' strings) into face
+    counts; an entry that names no finite count raises ``InputError``."""
     out = []
     for item in items:
-        if isinstance(item, str):
-            item = item.strip()
-            if item.endswith("%"):
-                frac = float(item[:-1]) / 100.0
-                out.append(max(4, int(round(n_faces * frac))))
-                continue
-            item = float(item)
-        if isinstance(item, float) and 0 < item < 1:
-            out.append(max(4, int(round(n_faces * item))))
-        else:
-            out.append(int(item))
+        value = item
+        try:
+            if isinstance(item, str):
+                text = item.strip()
+                if text.endswith("%"):
+                    frac = float(text[:-1]) / 100.0
+                    out.append(max(4, int(round(n_faces * frac))))
+                    continue
+                value = float(text)
+            if isinstance(value, float) and 0 < value < 1:
+                out.append(max(4, int(round(n_faces * value))))
+            else:
+                out.append(int(value))
+        except (ValueError, OverflowError):
+            raise InputError(f"face target {item!r} is not a finite count, "
+                             "fraction or percent") from None
     return out
 
 

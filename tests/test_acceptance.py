@@ -297,7 +297,8 @@ def test_criterion_7_compare_harness():
 
 
 def test_criterion_8_throughput_soft_target():
-    # warm the JIT kernels outside the timed region
+    # a small run first keeps one-time costs (first numpy calls, lazy
+    # imports) outside the timed region
     warm = uv_sphere(40, 21, radius=10.0)
     decimate(warm, DecimationConfig(cost_kind="qe", target_faces=800))
 

@@ -169,6 +169,25 @@ def test_compare_writes_reports(tmp_path, capsys):
     assert csv_path.read_text().count("\n") == 6  # header + 5 rows
 
 
+@pytest.mark.parametrize("targets", ["abc", "nan", "inf", "1e400", "50%,x%"])
+def test_compare_bad_targets_exit_1(tmp_path, capsys, targets):
+    mesh_path = tmp_path / "in.off"
+    atoms_path = tmp_path / "atom.txt"
+    save_mesh(icosphere(2), mesh_path)
+    save_atoms([Atom(center=(0, 0, 0), charge=1.0)], atoms_path)
+    csv_path = tmp_path / "rep.csv"
+    code = cli_main(
+        [
+            "compare", "--mesh", str(mesh_path), "--atoms", str(atoms_path),
+            "--costs", "qe", "--targets", targets, "--report", str(csv_path),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: InputError: face target ")
+    assert not csv_path.exists()
+
+
 def test_cli_runs_bit_for_bit_reproducible(tmp_path):
     mesh_path = tmp_path / "in.off"
     save_mesh(icosphere(2), mesh_path)

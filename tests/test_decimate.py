@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from decimesh import Atom, TriangleMesh, decimate, grid_build, placement_for, validate
-from decimesh.decimate import DecimationConfig, Decimator, identity_hook
-from decimesh.errors import CandidateInfeasible, HookViolation, InvalidInput, MissingAtoms
-from decimesh.mesh import can_collapse, edge_star, _changed_normal_flips
+from decimesh.decimate import DecimationConfig, Decimator
+from decimesh.errors import CandidateInfeasible, InvalidInput, MissingAtoms
+from decimesh.mesh import can_collapse, edge_star, quality_summary, _changed_normal_flips
 from decimesh.quadrics import vertex_quadric
 from decimesh.shapes import icosphere, octahedron, tetrahedron
 
@@ -45,8 +45,6 @@ def test_config_validation():
         DecimationConfig(cost_kind="nope", target_faces=100)
     with pytest.raises(ValueError):
         DecimationConfig(cost_kind="qe", target_faces=2)
-    with pytest.raises(ValueError):
-        DecimationConfig(cost_kind="qe", target_faces=100, stages=0)
 
 
 def test_icosphere_320_to_80_qe():
@@ -201,50 +199,17 @@ def test_deterministic_traces():
 
 
 def test_stage_schedule():
+    """One pass to the target; the trace carries the output mesh's
+    quality summary."""
     mesh = icosphere(2)
-    cfg = DecimationConfig(cost_kind="qe", target_faces=80, stages=3)
+    cfg = DecimationConfig(cost_kind="qe", target_faces=80)
     mesh, trace = decimate(mesh, cfg)
-    assert [s.faces for s in trace.stages] == [240, 160, 80]
-    assert [s.stage for s in trace.stages] == [1, 2, 3]
-    for s in trace.stages:
-        assert s.min_quality >= 2.0
-        assert 0.0 <= s.well_centered_fraction <= 1.0
-        assert sum(s.histogram.values()) == s.faces
-
-
-def test_identity_hook_returns_input(sphere320):
-    mesh = sphere320.copy()
-    assert identity_hook(mesh) is mesh
-
-
-def test_position_perturbing_hook_allowed():
-    rng = np.random.default_rng(4)
-
-    def jiggle(mesh):
-        live = mesh.live_vertex_ids()
-        mesh.vertices[live] += rng.normal(scale=1e-3, size=(len(live), 3))
-        return mesh
-
-    mesh = icosphere(2)
-    cfg = DecimationConfig(cost_kind="qe", target_faces=80, stages=2)
-    mesh, trace = decimate(mesh, cfg, stage_hook=jiggle)
-    assert mesh.n_faces == 80
-    assert validate(mesh).euler_characteristic == 2
-    assert len(trace.stages) == 2
-
-
-def test_connectivity_changing_hook_rejected():
-    def vandal(mesh):
-        rows = mesh.live_triangle_ids()
-        t = int(rows[0])
-        a, b, c = mesh.triangle(t)
-        mesh.triangles[t] = (a, c, b)
-        return mesh
-
-    mesh = icosphere(1)
-    cfg = DecimationConfig(cost_kind="qe", target_faces=40)
-    with pytest.raises(HookViolation):
-        decimate(mesh, cfg, stage_hook=vandal)
+    q = trace.quality
+    assert q == quality_summary(mesh)
+    assert q.n_faces == mesh.n_faces == 80
+    assert q.min_quality >= 2.0
+    assert 0.0 <= q.well_centered_fraction <= 1.0
+    assert sum(q.histogram.values()) == q.n_faces
 
 
 def test_audit_sees_greedy_minimum():

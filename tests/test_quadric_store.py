@@ -49,10 +49,9 @@ def oracle_qe(mesh, a, b):
     return placement_for("qe", edge_star(mesh, a, b), q1, q2)
 
 
-@pytest.mark.parametrize("area_weight", [False, True])
-def test_packed_rows_equal_vertex_quadric(area_weight):
+def test_packed_rows_equal_vertex_quadric():
     mesh = perturbed_sphere(3, seed=71)
-    cfg = DecimationConfig(cost_kind="qe", target_faces=600, area_weight=area_weight)
+    cfg = DecimationConfig(cost_kind="qe", target_faces=600)
     dec = Decimator(mesh, cfg)
     dec.build_queue()
     # collapses churn the incidence sets, so rows must follow their
@@ -60,7 +59,7 @@ def test_packed_rows_equal_vertex_quadric(area_weight):
     while mesh.n_faces > 600:
         assert dec.step() is not None
     for v in mesh.live_vertex_ids().tolist():
-        want = vertex_quadric(mesh, v, area_weight=area_weight)
+        want = vertex_quadric(mesh, v)
         assert bits(dec._qv[v]) == bits(want)
 
 
@@ -123,19 +122,16 @@ def test_qe_candidate_equals_placement_for(level):
 
 @pytest.mark.parametrize("kind", ["qe", "pb", "gb_qe"])
 def test_stage_hook_rebuilds_quadrics(kind):
-    """After a hook moves vertices, every committed candidate is the
-    oracle's on the current mesh, bit for bit."""
+    """After vertices move between collapses, a second ``build_queue``
+    rebuilds the quadric store from the current positions: every later
+    committed candidate is the oracle's on the current mesh, bit for
+    bit."""
     rng = np.random.default_rng(4)
-
-    def jiggle(mesh):
-        live = mesh.live_vertex_ids()
-        mesh.vertices[live] += rng.normal(scale=1e-3, size=(len(live), 3))
-        return mesh
-
     atoms = [Atom(center=(0.1, -0.2, 0.05), charge=1.0)]
-    cfg = DecimationConfig(cost_kind=kind, target_faces=80, stages=2)
+    cfg = DecimationConfig(cost_kind=kind, target_faces=80)
     grid = grid_build(atoms, cell_size=cfg.rho)
-    dec = Decimator(icosphere(2), cfg, atoms=atoms if kind == "gb_qe" else None)
+    mesh = icosphere(2)
+    dec = Decimator(mesh, cfg, atoms=atoms if kind == "gb_qe" else None)
     commits = []
 
     def audit(mesh, cand):
@@ -154,9 +150,14 @@ def test_stage_hook_rebuilds_quadrics(kind):
             want = placement_for(kind, star, q1, q2, grid.centers[ids], dec.params)
         commits.append(same_candidate((cand.placement, cand.cost), want))
 
-    mesh, trace = dec.run(audit=audit, stage_hook=jiggle)
-    assert mesh.n_faces == 80
-    assert len(trace.stages) == 2
+    dec.build_queue()
+    while mesh.n_faces > 200:
+        assert dec.step(audit=audit) is not None
+    live = mesh.live_vertex_ids()
+    mesh.vertices[live] += rng.normal(scale=1e-3, size=(len(live), 3))
+    dec.build_queue()
+    while mesh.n_faces > 80:
+        assert dec.step(audit=audit) is not None
     assert len(commits) == 120
     assert all(commits)
 

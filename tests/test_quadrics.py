@@ -112,13 +112,6 @@ def test_quadrics_positive_semidefinite():
             assert eigs.min() >= -1e-9 * q.trace()
 
 
-def test_area_weighted_quadric():
-    mesh = corner_mesh()
-    q = vertex_quadric(mesh, 0, area_weight=True)
-    # each corner triangle has area 1/2, so the weighted sum halves
-    assert q.evaluate((1.0, 1.0, 1.0)) == pytest.approx(1.5, rel=1e-12)
-
-
 def test_optimal_placement_three_orthogonal_planes():
     q = Quadric.from_planes([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
     point = minimize_quadric(q, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))

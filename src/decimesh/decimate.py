@@ -11,10 +11,17 @@ every cost kind a pure function of the live star.
 Endpoint quadrics live in one packed per-vertex array, rebuilt from the
 current positions with the queue and rewritten row by row around each
 commit (memoryless simplification in the sense of Lindstrom & Turk).
-Its rows equal ``vertex_quadric`` bit for bit, and the ``qe`` queue and
-the ``pb`` analytic candidate minimize them in batches that equal
-``minimize_quadric`` bit for bit, so an audit against the scalar
-oracles matches every queued candidate exactly.
+Its rows equal ``vertex_quadric`` bit for bit, and every kind minimizes
+quadrics in batches that equal ``minimize_quadric`` bit for bit.
+
+Candidates are computed in batches, never edge by edge: ``qe`` straight
+from the store, and the star-based kinds (vol, pb, gb, gb_qe) by one
+engine that walks each chunk of edges once (``mesh.edge_star``) and
+scores it with the kind's numpy kernel from :mod:`decimesh.costs`. The
+kernels add their terms in the scalar oracles' order (each edge's ring
+triangles upper ring first, then the wings; atom centers by ascending
+id), so vol, gb and gb_qe equal ``placement_for`` bit for bit and an
+audit against the scalar oracles matches every queued candidate.
 
 A run builds the queue once and commits collapses until the face target
 is reached or the queue runs dry. Nothing moves a vertex except a
@@ -36,13 +43,13 @@ from .costs import (
     COST_KINDS,
     CollapseCandidate,
     GbCostParams,
+    gb_placements,
     pb_placements,
-    placement_for,
-    vol_quadric,
+    vol_placements,
 )
 from .errors import (
-    CandidateInfeasible,
     DecimeshError,
+    InvalidConfig,
     InvalidInput,
     MissingAtoms,
     NotAnEdge,
@@ -60,10 +67,16 @@ from .mesh import (
     quality_summary,
     validate,
 )
-from .quadrics import Quadric, minimize_packed, minimize_quadric, plane_quadric_rows
+from .quadrics import minimize_packed, plane_quadric_rows
 
-# edges per candidate batch: one numpy pass of the pb engine and one
-# shared StarCache, which bounds their scratch memory on big meshes;
+# Not called here any more: scalar oracles the engine reproduces. The
+# benchmark's span tracer (bench/tracing.py) still patches these names
+# on this module, so they stay importable from it.
+from .costs import placement_for, vol_quadric  # noqa: F401
+from .quadrics import minimize_quadric  # noqa: F401
+
+# edges per candidate batch: one numpy pass of the candidate engine and
+# one shared StarCache, which bounds their scratch memory on big meshes;
 # (vertex, triangle) pairs per pass when the packed quadric rows are
 # rebuilt
 _CHUNK = 2048
@@ -92,7 +105,8 @@ class DecimationConfig:
     quadric cost for gb_qe, and rho/lam parametrize them. veto_flips
     drops candidates that would reverse a ring triangle's normal.
     validate_every > 0 runs a full manifold validation every that-many
-    collapses (1 = after each).
+    collapses (1 = after each; 0 = never). Out-of-range settings raise
+    ``InvalidConfig``.
     """
 
     cost_kind: str
@@ -104,9 +118,13 @@ class DecimationConfig:
 
     def __post_init__(self):
         if self.cost_kind not in COST_KINDS:
-            raise ValueError(f"cost_kind must be one of {COST_KINDS}")
+            raise InvalidConfig(f"cost_kind must be one of {COST_KINDS}")
         if self.target_faces < 4:
-            raise ValueError("target_faces must be at least 4")
+            raise InvalidConfig(f"target_faces must be at least 4, got {self.target_faces}")
+        if self.validate_every < 0:
+            raise InvalidConfig(
+                f"validate_every must be nonnegative, got {self.validate_every}"
+            )
 
 
 @dataclass(frozen=True)
@@ -195,17 +213,51 @@ class Decimator:
         """Candidates of a list of (a, b) edges under a star-based kind
         (every kind but qe), None where infeasible.
 
-        pb evaluates each chunk in one numpy pass; vol, gb and gb_qe go
-        edge by edge.
+        The one engine for vol, pb, gb and gb_qe: each chunk of edges is
+        walked once by ``edge_star`` and scored in one numpy pass by the
+        kind's kernel in :mod:`decimesh.costs`, which repeats the scalar
+        arithmetic in its operation and summation order. pb, gb and
+        gb_qe share one analytic candidate per edge, minimized from the
+        packed store; gb_qe also scores with the summed rows. vol, gb
+        and gb_qe equal ``placement_for`` bit for bit.
         """
-        out = []
+        mesh = self.mesh
+        kind = self.config.cost_kind
+        vertices = mesh.vertices
+        out = [None] * len(edges)
         for start in range(0, len(edges), _CHUNK):
-            chunk = edges[start:start + _CHUNK]
             cache = StarCache()
-            if self.config.cost_kind == "pb":
-                out.extend(self._pb_candidates(chunk, cache))
+            slots, stars = [], []
+            for i in range(start, min(start + _CHUNK, len(edges))):
+                a, b = edges[i]
+                try:
+                    stars.append(edge_star(mesh, a, b, cache))
+                except (NotAnEdge, StarNotDisk):
+                    continue
+                slots.append(i)
+            if not stars:
+                continue
+            if kind == "vol":
+                # every vol candidate is feasible, whatever its cost
+                points, costs = vol_placements(vertices, stars)
+                feasible = np.ones(len(stars), dtype=bool)
             else:
-                out.extend(self._scalar_candidate(a, b, cache) for a, b in chunk)
+                ends = np.array([(s.v1, s.v2) for s in stars])
+                q, analytic, _, has_q = self._quadric_minima(ends)
+                analytic[~has_q] = np.nan
+                if kind == "pb":
+                    points, costs = pb_placements(vertices, stars, analytic)
+                else:
+                    atom_ids = [self._atom_ids(a, b) for a, b in ends.tolist()]
+                    points, costs = gb_placements(
+                        vertices, stars, analytic, q,
+                        self._grid.centers, atom_ids, self.params,
+                    )
+                feasible = costs != math.inf
+            for i, point, cost, ok in zip(slots, points.tolist(), costs.tolist(),
+                                          feasible.tolist()):
+                if ok:
+                    out[i] = (tuple(point), cost)
         return out
 
     def _has_plane(self, v):
@@ -219,37 +271,14 @@ class Decimator:
         return qv[v, 0] + qv[v, 4] + qv[v, 7] + qv[v, 9] > 0.0
 
     def _quadric_minima(self, edges):
-        """``minimize_quadric`` of each (E, 2) edge's summed endpoint
-        rows, with its cost, and whether both endpoints have a quadric
-        at all (see :meth:`_has_plane`)."""
+        """The summed endpoint rows of each (E, 2) edge, their
+        ``minimize_quadric`` point and its cost, and whether both
+        endpoints have a quadric at all (see :meth:`_has_plane`)."""
         q = self._qv[edges]
+        q = q[:, 0] + q[:, 1]
         ends = self.mesh.vertices[edges]
-        points, costs = minimize_packed(q[:, 0] + q[:, 1], ends[:, 0], ends[:, 1])
-        return points, costs, self._has_plane(edges).all(axis=1)
-
-    def _scalar_candidate(self, a, b, cache):
-        kind = self.config.cost_kind
-        try:
-            star = edge_star(self.mesh, a, b, cache)
-        except (NotAnEdge, StarNotDisk):
-            return None
-
-        if kind == "vol":
-            vq = vol_quadric(star)
-            point = minimize_quadric(vq, star.p1, star.p2)
-            return point, vq.evaluate(point)
-
-        q1 = Quadric(*self._qv[a].tolist())
-        q2 = Quadric(*self._qv[b].tolist())
-        if not (q1.trace() > 0.0 and q2.trace() > 0.0):  # see _has_plane
-            if kind == "gb_qe":
-                return None
-            q1 = q2 = None
-        atom_positions = self._grid.centers[self._atom_ids(a, b)]
-        try:
-            return placement_for(kind, star, q1, q2, atom_positions, self.params)
-        except CandidateInfeasible:
-            return None
+        points, costs = minimize_packed(q, ends[:, 0], ends[:, 1])
+        return q, points, costs, self._has_plane(edges).all(axis=1)
 
     def _atom_ids(self, a, b):
         """Sorted atoms within rho of either endpoint: the set
@@ -264,33 +293,12 @@ class Decimator:
             ids.extend(ball)
         return sorted(set(ids))
 
-    def _pb_candidates(self, edges, cache):
-        mesh = self.mesh
-        slots, stars = [], []
-        for i, (a, b) in enumerate(edges):
-            try:
-                stars.append(edge_star(mesh, a, b, cache))
-            except (NotAnEdge, StarNotDisk):
-                continue
-            slots.append(i)
-        out = [None] * len(edges)
-        if not stars:
-            return out
-        ends = np.array([(s.v1, s.v2) for s in stars])
-        points, _, ok = self._quadric_minima(ends)
-        analytic = [p if k else None for p, k in zip(points.tolist(), ok.tolist())]
-        points, costs = pb_placements(mesh.vertices, stars, analytic)
-        for i, point, cost in zip(slots, points.tolist(), costs.tolist()):
-            if cost != math.inf:
-                out[i] = (tuple(point), cost)
-        return out
-
     def _batch_candidates(self, edges):
         """qe candidates of an (E, 2) edge array in one pass over the
         packed store: ``placement_for("qe", ...)`` on the endpoints'
         ``vertex_quadric`` per edge, bit for bit, and None where an
         endpoint is isolated."""
-        points, costs, ok = self._quadric_minima(edges)
+        _, points, costs, ok = self._quadric_minima(edges)
         return [
             ((x, y, z), cost) if k else None
             for (x, y, z), cost, k in zip(points.tolist(), costs.tolist(), ok.tolist())

@@ -76,6 +76,11 @@ class InvalidInput(InputError):
     """Decimation input failed validation."""
 
 
+class InvalidConfig(InputError, ValueError):
+    """A decimation or cost setting is out of range (a ``ValueError``
+    too, for callers that catch bad arguments by that type)."""
+
+
 # --- solvation energetics ---------------------------------------------------
 
 class NonPositiveIntegral(NumericalError):

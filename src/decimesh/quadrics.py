@@ -6,9 +6,10 @@ normals, so evaluating the quadric at a point gives the sum of squared
 point-plane distances. Packed symmetric storage (10 floats) keeps the
 decimation hot loop off numpy's small-array overhead.
 
-:func:`plane_quadric_rows` and :func:`minimize_packed` are the batched
-twins of the plane quadric and of :func:`minimize_quadric`, for the
-decimation queue; they equal the scalar functions bit for bit.
+:func:`plane_quadric_rows`, :func:`evaluate_packed` and
+:func:`minimize_packed` are the batched twins of the plane quadric, of
+``Quadric.evaluate`` and of :func:`minimize_quadric`, for the decimation
+queue; they equal the scalar functions bit for bit.
 """
 
 from __future__ import annotations
@@ -259,6 +260,18 @@ def plane_quadric_rows(vertices, tris):
     return rows.T, ~(m <= 2.0 * EPS_AREA)
 
 
+def evaluate_packed(q, x, y, z):
+    """``Quadric.evaluate`` of (E, 10) packed quadrics at coordinate
+    arrays that broadcast against (E,), such as (K, E) for K candidate
+    points per edge; bit for bit, in the scalar operation order."""
+    xx, xy, xz, xw, yy, yz, yw, zz, zw, ww = np.ascontiguousarray(q.T)
+    return (
+        xx * x * x + yy * y * y + zz * z * z + ww
+        + 2.0 * (xy * x * y + xz * x * z + yz * y * z
+                 + xw * x + yw * y + zw * z)
+    )
+
+
 def minimize_packed(q, p1, p2):
     """:func:`minimize_quadric` and ``Quadric.evaluate`` of its result
     for (E, 10) packed quadrics and (E, 3) endpoints, one row per edge.
@@ -313,12 +326,7 @@ def minimize_packed(q, p1, p2):
 
         # the cheapest candidate; ties and NaN (no analytic point)
         # resolve as the scalar loop's strict "<" does
-        x, y, z = points[..., 0], points[..., 1], points[..., 2]
-        costs = (
-            xx * x * x + yy * y * y + zz * z * z + ww
-            + 2.0 * (xy * x * y + xz * x * z + yz * y * z
-                     + xw * x + yw * y + zw * z)
-        )
+        costs = evaluate_packed(q, points[..., 0], points[..., 1], points[..., 2])
         costs[1:][np.isnan(costs[1:])] = np.inf
     pick = np.argmin(costs, axis=0)
     rows = np.arange(len(pick))

@@ -94,6 +94,29 @@ def test_decimate_gb_requires_atoms(tmp_path, capsys):
     assert "MissingAtoms" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--target-faces", "2"),
+    ("--rho", "-1"),
+    ("--lambda", "-1"),
+    ("--validate-every", "-3"),
+])
+def test_decimate_bad_setting_exits_1(tmp_path, capsys, flag, value):
+    """An out-of-range setting is an input error: one ``error:`` line
+    naming the typed error, exit 1, no traceback and no output file."""
+    mesh_path = tmp_path / "in.off"
+    save_mesh(icosphere(1), mesh_path)
+    out_path = tmp_path / "out.off"
+    settings = {"--target-faces": "40", flag: value}
+    argv = ["decimate", "--mesh", str(mesh_path), "--cost", "qe", "--out", str(out_path)]
+    for option in settings.items():
+        argv += option
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidConfig: ")
+    assert "Traceback" not in err
+    assert not out_path.exists()
+
+
 def test_decimate_gb_qe(tmp_path):
     mesh, atoms = synthetic_molecule(n_atoms=5, level=1, radius=4.0, seed=2)
     mesh_path = tmp_path / "in.off"

@@ -471,6 +471,7 @@ def star_batch(stars):
 def pb_engine(stars, analytic=None, per_candidate=False):
     if analytic is None:
         analytic = [None] * len(stars)
+    analytic = np.array([(math.nan,) * 3 if a is None else a for a in analytic])
     verts, renumbered = star_batch(stars)
     if per_candidate:
         return pb_candidate_costs(verts, renumbered, analytic)

@@ -6,7 +6,7 @@ import pytest
 
 from decimesh import Atom, TriangleMesh, decimate, grid_build, placement_for, validate
 from decimesh.decimate import DecimationConfig, Decimator
-from decimesh.errors import CandidateInfeasible, InvalidInput, MissingAtoms
+from decimesh.errors import CandidateInfeasible, InvalidConfig, InvalidInput, MissingAtoms
 from decimesh.mesh import can_collapse, edge_star, quality_summary, _changed_normal_flips
 from decimesh.quadrics import vertex_quadric
 from decimesh.shapes import icosphere, octahedron, tetrahedron
@@ -45,6 +45,13 @@ def test_config_validation():
         DecimationConfig(cost_kind="nope", target_faces=100)
     with pytest.raises(ValueError):
         DecimationConfig(cost_kind="qe", target_faces=2)
+    # one typed input error, which is a ValueError too
+    with pytest.raises(InvalidConfig):
+        DecimationConfig(cost_kind="qe", target_faces=100, validate_every=-3)
+    for rho, lam in ((-1.0, 1e-8), (5.0, -1.0), (math.nan, 1e-8)):
+        with pytest.raises(InvalidConfig):
+            Decimator(icosphere(1), DecimationConfig(
+                cost_kind="qe", target_faces=40, rho=rho, lam=lam))
 
 
 def test_icosphere_320_to_80_qe():
@@ -198,7 +205,7 @@ def test_deterministic_traces():
     assert run_qe().records == run_qe().records
 
 
-def test_stage_schedule():
+def test_trace_quality_is_output_summary():
     """One pass to the target; the trace carries the output mesh's
     quality summary."""
     mesh = icosphere(2)

@@ -1,6 +1,6 @@
-"""The Decimator's packed quadric store and batched minimizer against
-the scalar oracles (`vertex_quadric`, `minimize_quadric`,
-`placement_for`), compared bit for bit."""
+"""The Decimator's packed quadric store, batched minimizer and batched
+candidate engine against the scalar oracles (`vertex_quadric`,
+`minimize_quadric`, `placement_for`), compared bit for bit."""
 
 import numpy as np
 import pytest
@@ -121,11 +121,11 @@ def test_qe_candidate_equals_placement_for(level):
 
 
 @pytest.mark.parametrize("kind", ["qe", "pb", "gb_qe"])
-def test_stage_hook_rebuilds_quadrics(kind):
+def test_rebuild_after_moving_vertices(kind):
     """After vertices move between collapses, a second ``build_queue``
-    rebuilds the quadric store from the current positions: every later
-    committed candidate is the oracle's on the current mesh, bit for
-    bit."""
+    rebuilds the quadric store from the current positions: every live
+    row equals ``vertex_quadric``, and every later committed candidate
+    is the oracle's on the current mesh, bit for bit."""
     rng = np.random.default_rng(4)
     atoms = [Atom(center=(0.1, -0.2, 0.05), charge=1.0)]
     cfg = DecimationConfig(cost_kind=kind, target_faces=80)
@@ -156,6 +156,8 @@ def test_stage_hook_rebuilds_quadrics(kind):
     live = mesh.live_vertex_ids()
     mesh.vertices[live] += rng.normal(scale=1e-3, size=(len(live), 3))
     dec.build_queue()
+    for v in live.tolist():
+        assert bits(dec._qv[v]) == bits(vertex_quadric(mesh, v))
     while mesh.n_faces > 80:
         assert dec.step(audit=audit) is not None
     assert len(commits) == 120
@@ -196,3 +198,101 @@ def test_isolated_vertex_keeps_its_meaning():
                 assert got is None
         if kind != "gb":
             assert dec.trace.rejections["infeasible_candidate"] >= len(ring)
+
+
+# -- the batched candidate engine of vol, gb and gb_qe ---------------------
+
+
+def ball_atoms(n, seed, radius=8.0):
+    """``n`` atoms uniform in a ball about the origin."""
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=(n, 3))
+    d /= np.linalg.norm(d, axis=1)[:, None]
+    r = radius * rng.random(n) ** (1.0 / 3.0)
+    return [Atom(center=tuple(x * s), charge=1.0) for x, s in zip(d, r)]
+
+
+def oracle_candidate(mesh, kind, a, b, grid, params):
+    """``placement_for`` on a fresh ``edge_star``, ``vertex_quadric`` and
+    ``grid.query_edge``; None where the queue would drop the edge."""
+    star = edge_star(mesh, a, b)
+    if kind == "vol":
+        return placement_for("vol", star)
+    try:
+        q1, q2 = vertex_quadric(mesh, a), vertex_quadric(mesh, b)
+    except IsolatedVertex:
+        if kind == "gb_qe":
+            return None
+        q1 = q2 = None
+    atoms = grid.centers[grid.query_edge(star.p1, star.p2, params.rho)]
+    try:
+        return placement_for(kind, star, q1, q2, atoms, params)
+    except CandidateInfeasible:
+        return None
+
+
+def assert_engine_is_oracle(dec, atoms):
+    """``Decimator._candidates`` over every live edge equals the oracle
+    bit for bit; returns the atom count each edge saw."""
+    mesh = dec.mesh
+    grid = grid_build(atoms, cell_size=dec.config.rho)
+    edges = sorted(mesh.edges())
+    counts = []
+    for (a, b), got in zip(edges, dec._candidates(edges)):
+        want = oracle_candidate(mesh, dec.config.cost_kind, a, b, grid, dec.params)
+        assert same_candidate(got, want), ((a, b), got, want)
+        counts.append(len(grid.query_edge(mesh.position(a), mesh.position(b), dec.config.rho)))
+    return counts
+
+
+@pytest.mark.parametrize("kind", ["vol", "gb", "gb_qe"])
+@pytest.mark.parametrize("lam", [1e-8, 0.0, 1.0])
+def test_engine_equals_placement_for(kind, lam):
+    """On a perturbed sphere with 150 atoms inside, before and after 120
+    collapses: edges near many atoms (more than the eight a pairwise sum
+    would split), and edges with none."""
+    mesh = perturbed_sphere(3, seed=81, scale=0.05)
+    mesh.vertices *= 10.0
+    atoms = ball_atoms(150, seed=82)
+    cfg = DecimationConfig(cost_kind=kind, target_faces=mesh.n_faces - 240, lam=lam)
+    dec = Decimator(mesh, cfg, atoms=atoms if kind != "vol" else None)
+    dec.build_queue()
+    counts = assert_engine_is_oracle(dec, atoms)
+    assert min(counts) == 0 and max(counts) > 8
+    while mesh.n_faces > cfg.target_faces:
+        assert dec.step() is not None
+    assert_engine_is_oracle(dec, atoms)
+
+
+@pytest.mark.parametrize("kind", ["vol", "gb", "gb_qe"])
+def test_engine_equals_placement_for_on_flat_stars(kind):
+    """A flattened sphere: singular quadrics take the segment and
+    discrete branches of the minimizer."""
+    mesh = perturbed_sphere(3, seed=83)
+    mesh.vertices[:, 2] *= 1e-7
+    atoms = ball_atoms(20, seed=84, radius=1.0)
+    cfg = DecimationConfig(cost_kind=kind, target_faces=100, rho=0.5, lam=0.1)
+    dec = Decimator(mesh, cfg, atoms=atoms if kind != "vol" else None)
+    dec.build_queue()
+    assert_engine_is_oracle(dec, atoms)
+
+
+@pytest.mark.parametrize("kind", ["vol", "gb", "gb_qe"])
+def test_engine_equals_placement_for_at_isolated_vertex(kind):
+    """A vertex whose triangles are all flat has no quadric: gb_qe drops
+    its edges and gb scores only the midpoint and the endpoints."""
+    mesh = icosphere(3, radius=2.0)
+    ring = sorted(mesh.vertex_neighbors(0))
+    for k, u in enumerate([0] + ring):
+        mesh.vertices[u] = (0.3 * k - 1.0, 0.0, 0.0)
+    atoms = [Atom(center=(0.0, 0.5, 0.0), charge=1.0)]
+    cfg = DecimationConfig(cost_kind=kind, target_faces=100, lam=0.5)
+    dec = Decimator(mesh, cfg, atoms=atoms if kind != "vol" else None)
+    dec.build_queue()
+    assert not dec._has_plane([0])[0]
+    assert_engine_is_oracle(dec, atoms)
+    got = dec._candidates([(0, u) for u in ring])
+    if kind == "gb_qe":
+        assert got == [None] * len(ring)
+    else:
+        assert None not in got

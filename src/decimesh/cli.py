@@ -25,7 +25,7 @@ from .gb import (
 )
 from .io import load_atoms, load_mesh, save_mesh
 from .mesh import validate as validate_mesh
-from .report import HarnessParams, run_compare
+from .report import HarnessParams, report_format, run_compare
 
 
 class UsageError(InputError):
@@ -143,6 +143,8 @@ def _cmd_energy(args):
 
 
 def _cmd_compare(args):
+    for path in args.report:
+        report_format(path)
     mesh = load_mesh(args.mesh)
     atoms = load_atoms(args.atoms)
     costs = [c.strip() for c in args.costs.split(",") if c.strip()]
@@ -183,10 +185,7 @@ def cli_main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (InputError, OSError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except DecimeshError as exc:
+    except (DecimeshError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -58,10 +58,10 @@ class GbCostParams:
     variant: str = "edge_length"
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise InvalidConfig(f"rho must be positive, got {self.rho}")
-        if not self.lam >= 0:
-            raise InvalidConfig(f"lam must be nonnegative, got {self.lam}")
+        if not 0 < self.rho < math.inf:
+            raise InvalidConfig(f"rho must be positive and finite, got {self.rho}")
+        if not 0 <= self.lam < math.inf:
+            raise InvalidConfig(f"lam must be nonnegative and finite, got {self.lam}")
         if self.variant not in GB_VARIANTS:
             raise InvalidConfig(f"variant must be one of {GB_VARIANTS}")
 
@@ -160,12 +160,13 @@ def f_pb(star: EdgeStar, vbar) -> float:
 # The Decimator scores the candidates of the star-based kinds (vol, pb,
 # gb, gb_qe) for a whole chunk of edges at once. Each kernel takes the
 # vertex array and the chunk's stars, of which it reads only the ids
-# (``v1``, ``v2`` and the ``upper``/``lower`` paths), so one gather
-# turns them into corner arrays. The kernels repeat the scalar
-# functions' arithmetic in the same operation and summation order,
-# calling the scalar helpers (``_volume_row``, ``geometry.centroid``,
-# ``geometry.dot``) on coordinate-first arrays where they can, so vol
-# and the gb kinds equal ``placement_for`` bit for bit and pb agrees
+# (``v1``, ``v2`` and the ``upper``/``lower`` paths, which start and end
+# at the two wing vertices), so one gather turns them into corner
+# arrays. The kernels repeat the scalar functions' arithmetic in the
+# same operation and summation order, calling the scalar helpers
+# (``_volume_row``, ``geometry.centroid``, ``geometry.dot``) on
+# coordinate-first arrays where they can, so vol and the gb kinds
+# equal ``placement_for`` bit for bit and pb agrees
 # with it up to the last bits of ``arccos``. The kinds that take an
 # analytic candidate get it as an (E, 3) array with NaN rows for
 # "none", as the Decimator computes it from its packed quadric store.

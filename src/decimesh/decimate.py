@@ -16,7 +16,8 @@ quadrics in batches that equal ``minimize_quadric`` bit for bit.
 
 Candidates are computed in batches, never edge by edge: ``qe`` straight
 from the store, and the star-based kinds (vol, pb, gb, gb_qe) by one
-engine that walks each chunk of edges once (``mesh.edge_star``) and
+engine that walks each chunk of edges once (``mesh.edge_star``, which
+collects each edge's two ring paths of vertex ids and nothing else) and
 scores it with the kind's numpy kernel from :mod:`decimesh.costs`. The
 kernels add their terms in the scalar oracles' order (each edge's ring
 triangles upper ring first, then the wings; atom centers by ascending
@@ -214,12 +215,14 @@ class Decimator:
         (every kind but qe), None where infeasible.
 
         The one engine for vol, pb, gb and gb_qe: each chunk of edges is
-        walked once by ``edge_star`` and scored in one numpy pass by the
-        kind's kernel in :mod:`decimesh.costs`, which repeats the scalar
-        arithmetic in its operation and summation order. pb, gb and
-        gb_qe share one analytic candidate per edge, minimized from the
-        packed store; gb_qe also scores with the summed rows. vol, gb
-        and gb_qe equal ``placement_for`` bit for bit.
+        walked once by ``edge_star``, whose ``v1``, ``v2``, ``upper``
+        and ``lower`` ids are all the engine reads, and scored in one
+        numpy pass by the kind's kernel in :mod:`decimesh.costs`, which
+        repeats the scalar arithmetic in its operation and summation
+        order. pb, gb and gb_qe share one analytic candidate per edge,
+        minimized from the packed store; gb_qe also scores with the
+        summed rows. vol, gb and gb_qe equal ``placement_for`` bit for
+        bit.
         """
         mesh = self.mesh
         kind = self.config.cost_kind

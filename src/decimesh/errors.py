@@ -77,8 +77,9 @@ class InvalidInput(InputError):
 
 
 class InvalidConfig(InputError, ValueError):
-    """A decimation or cost setting is out of range (a ``ValueError``
-    too, for callers that catch bad arguments by that type)."""
+    """A decimation, cost, energy or report setting is out of range (a
+    ``ValueError`` too, for callers that catch bad arguments by that
+    type)."""
 
 
 # --- solvation energetics ---------------------------------------------------

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     AtomTooCloseToSurface,
     DegenerateTriangle,
+    InvalidConfig,
     InvalidRadius,
     NonPositiveIntegral,
 )
@@ -65,8 +66,11 @@ class GBParams:
     eps_w: float = 80.0
 
     def __post_init__(self):
-        if self.eps_p <= 0 or self.eps_w <= 0:
-            raise ValueError("dielectric constants must be positive")
+        if not (self.eps_p > 0 and self.eps_w > 0):
+            raise InvalidConfig(
+                "dielectric constants must be positive, got "
+                f"eps_p={self.eps_p}, eps_w={self.eps_w}"
+            )
 
     @property
     def tau(self):

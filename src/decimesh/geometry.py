@@ -49,20 +49,6 @@ def dist(a, b):
     return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
-def triangle_normal_area(a, b, c):
-    """Return (unit outward normal, area) of triangle (a, b, c).
-
-    Raises DegenerateTriangle when the area falls at or below EPS_AREA.
-    """
-    n = cross(sub(b, a), sub(c, a))
-    double_area = norm(n)
-    area = 0.5 * double_area
-    if area <= EPS_AREA:
-        raise DegenerateTriangle(f"triangle area {area:.3g} below tolerance")
-    inv = 1.0 / double_area
-    return (n[0] * inv, n[1] * inv, n[2] * inv), area
-
-
 def triangle_area(a, b, c):
     n = cross(sub(b, a), sub(c, a))
     return 0.5 * norm(n)

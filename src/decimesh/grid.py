@@ -36,16 +36,9 @@ class UniformGrid:
             keys = np.floor(centers / self.cell_size).astype(np.int64)
             for i, key in enumerate(map(tuple, keys.tolist())):
                 self._cells.setdefault(key, []).append(i)
-            self.bounds = (centers.min(axis=0), centers.max(axis=0))
-        else:
-            self.bounds = None
 
     def __len__(self):
         return len(self.centers)
-
-    @property
-    def n_cells(self):
-        return len(self._cells)
 
     def _candidates(self, point, radius):
         inv = 1.0 / self.cell_size

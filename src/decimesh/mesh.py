@@ -92,9 +92,6 @@ class TriangleMesh:
     def vertex_alive(self, v):
         return bool(self._vertex_alive[v])
 
-    def triangle_alive(self, t):
-        return bool(self._tri_alive[t])
-
     def position(self, v):
         """Position of vertex ``v`` as a plain float tuple."""
         x, y, z = self.vertices[v].tolist()
@@ -151,9 +148,6 @@ class TriangleMesh:
     def edge_triangles(self, v1, v2):
         """Live triangle ids incident to the undirected edge (v1, v2)."""
         return sorted(self._vertex_tris[v1] & self._vertex_tris[v2])
-
-    def is_edge(self, v1, v2):
-        return bool(self._vertex_tris[v1] & self._vertex_tris[v2])
 
     def edges(self):
         """Iterate unique undirected edges as sorted (a, b) pairs."""
@@ -305,47 +299,40 @@ def _raise_edge_error(src, dst, n):
 
 @dataclass(frozen=True)
 class EdgeStar:
-    """The labeled neighborhood of edge (v1, v2).
+    """The labeled neighborhood of edge (v1, v2): two vertex paths and
+    the positions of every vertex on them.
 
-    ``upper`` walks the neighbors of v2 from the left wing to the right
-    wing; ``lower`` does the same around v1. Both paths include the wing
-    vertices as their first and last entries, so ``upper[1:-1]`` are the
-    interior upper-ring vertices. ``upper_tris[i]`` is the mesh triangle
-    with vertex set {v2, upper[i], upper[i+1]}; analogously for
-    ``lower_tris`` around v1. ``wing_tris`` are the two triangles on the
-    edge itself (left first).
+    ``upper`` runs around v2 and ``lower`` around v1, both from the left
+    wing vertex ``vL`` to the right wing vertex ``vR``: the wings, the
+    third vertices of the two triangles on the edge, are the ends of
+    both paths, so ``upper[1:-1]`` and ``lower[1:-1]`` are the interior
+    ring vertices. Consecutive entries span the non-adjacent star
+    triangles, {v2, upper[i], upper[i+1]} and {v1, lower[i], lower[i+1]};
+    the wing triangles are {v1, v2, vL} and {v1, v2, vR}.
 
-    Positions are snapshotted so cost functions are pure: re-evaluating a
-    star after the mesh moved gives the original answer.
+    ``p1``, ``p2``, ``upper_pos`` and ``lower_pos`` snapshot the
+    positions, so cost functions are pure: re-evaluating a star after
+    the mesh moved gives the original answer.
     """
 
     v1: int
     v2: int
-    vL: int
-    vR: int
     upper: tuple
     lower: tuple
-    upper_tris: tuple
-    lower_tris: tuple
-    wing_tris: tuple
     p1: tuple
     p2: tuple
     upper_pos: tuple
     lower_pos: tuple
 
     @property
-    def n_upper(self):
-        """U: number of interior upper-ring vertices."""
-        return len(self.upper) - 2
+    def vL(self):
+        """The left wing vertex."""
+        return self.upper[0]
 
     @property
-    def n_lower(self):
-        """D: number of interior lower-ring vertices."""
-        return len(self.lower) - 2
-
-    def ring_triangle_ids(self):
-        """Ids of the non-adjacent star triangles (upper first)."""
-        return self.upper_tris + self.lower_tris
+    def vR(self):
+        """The right wing vertex."""
+        return self.upper[-1]
 
     def ring_triangles_before(self):
         """Non-adjacent triangles as (apex, ring_i, ring_i+1) position triples."""
@@ -382,7 +369,7 @@ class EdgeStar:
 
 
 def _umbrella_successors(mesh, center):
-    """CCW successor map around ``center``: triangle (center, a, b) -> a: b."""
+    """CCW successor map around ``center``: triangle (center, u, w) -> u: w."""
     succ = {}
     rows = mesh._row_cache
     triangle = mesh.triangle
@@ -396,23 +383,21 @@ def _umbrella_successors(mesh, center):
             u, w = a, b
         if u in succ:
             raise StarNotDisk(f"vertex {center} has a non-disk umbrella")
-        succ[u] = (w, t)
+        succ[u] = w
     return succ
 
 
 def _walk(succ, start, stop, center):
-    """Follow successor pointers from start to stop, collecting (vertex, tri)."""
+    """Follow successor pointers from start to stop; the vertex path."""
     path = [start]
-    tris = []
     cur = start
     for _ in range(len(succ) + 1):
-        if cur not in succ:
-            raise StarNotDisk(f"umbrella walk around {center} broke at {cur}")
-        cur, t = succ[cur]
+        cur = succ.get(cur)
+        if cur is None:
+            raise StarNotDisk(f"umbrella walk around {center} broke at {path[-1]}")
         path.append(cur)
-        tris.append(t)
         if cur == stop:
-            return path, tris
+            return path
     raise StarNotDisk(f"umbrella walk around {center} did not close")
 
 
@@ -454,32 +439,32 @@ def edge_star(mesh: TriangleMesh, v1, v2, cache=None) -> EdgeStar:
         succ2 = umbrellas[v2] = _umbrella_successors(mesh, v2)
     if v2 not in succ1 or v1 not in succ2:
         raise StarNotDisk(f"edge ({v1}, {v2}) is traversed inconsistently")
-    vL, left = succ1[v2]
-    vR, right = succ2[v1]
+    vL = succ1[v2]
+    vR = succ2[v1]
     if vL == vR:
         raise StarNotDisk(f"edge ({v1}, {v2}) has coincident wing vertices")
 
     # around v2 the CCW order runs v1 -> vR -> (upper vertices) -> vL,
     # so the left-to-right upper path vL..vR is the reverse of that walk
-    path2, tris2 = _walk(succ2, vR, vL, v2)
-    path2.reverse()
-    tris2.reverse()
+    upper = _walk(succ2, vR, vL, v2)
+    upper.reverse()
 
     # around v1 the CCW order runs vL -> (lower vertices) -> vR -> v2
-    path1, tris1 = _walk(succ1, vL, vR, v1)
+    lower = _walk(succ1, vL, vR, v1)
 
-    # each walk visits distinct triangles other than the wings, so the
-    # two umbrellas are single disks exactly when the counts add up
-    if len(tris1) + 2 != len(succ1) or len(tris2) + 2 != len(succ2):
+    # a path of k vertices crosses k - 1 distinct triangles besides the
+    # two wings, so the two umbrellas are single disks exactly when the
+    # counts add up
+    if len(lower) + 1 != len(succ1) or len(upper) + 1 != len(succ2):
         raise StarNotDisk(
             f"star of ({v1}, {v2}) does not cover the incident triangle set"
         )
 
-    n_up = len(path2)
+    n_up = len(upper)
     verts = mesh.vertices
     positions = cache.positions
     pos = []
-    for v in (v1, v2, *path2, *path1):
+    for v in (v1, v2, *upper, *lower):
         p = positions.get(v)
         if p is None:
             p = positions[v] = tuple(verts[v].tolist())
@@ -487,13 +472,8 @@ def edge_star(mesh: TriangleMesh, v1, v2, cache=None) -> EdgeStar:
     return EdgeStar(
         v1=v1,
         v2=v2,
-        vL=vL,
-        vR=vR,
-        upper=tuple(path2),
-        lower=tuple(path1),
-        upper_tris=tuple(tris2),
-        lower_tris=tuple(tris1),
-        wing_tris=(left, right),
+        upper=tuple(upper),
+        lower=tuple(lower),
         p1=pos[0],
         p2=pos[1],
         upper_pos=tuple(pos[2:2 + n_up]),

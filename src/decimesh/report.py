@@ -19,8 +19,9 @@ import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import __version__
+from .costs import GbCostParams
 from .decimate import DecimationConfig, decimate
-from .errors import DecimeshError, InputError
+from .errors import DecimeshError, InputError, InvalidConfig
 from .gb import GBParams, born_radii, g_pol, quadrature_rule, surface_area
 from .io import write_atoms, write_off
 from .mesh import quality_summary
@@ -82,14 +83,19 @@ class ComparisonReport:
         return buf.getvalue()
 
     def write(self, path):
-        path = str(path)
+        text = self.to_json() if report_format(path) == "json" else self.to_csv()
         with open(path, "w", encoding="utf-8") as fh:
-            if path.lower().endswith(".json"):
-                fh.write(self.to_json())
-            elif path.lower().endswith(".csv"):
-                fh.write(self.to_csv())
-            else:
-                raise ValueError(f"report path must end in .csv or .json: {path}")
+            fh.write(text)
+
+
+def report_format(path):
+    """The format a report path names by its suffix, "csv" or "json";
+    any other suffix raises ``InvalidConfig``."""
+    path = str(path)
+    for fmt in ("csv", "json"):
+        if path.lower().endswith("." + fmt):
+            return fmt
+    raise InvalidConfig(f"report path must end in .csv or .json: {path}")
 
 
 def resolve_targets(n_faces, items):
@@ -146,6 +152,8 @@ def run_compare(mesh, atoms, cost_kinds, face_targets, params=None) -> Compariso
     params = params or HarnessParams()
     rule = quadrature_rule(params.quadrature)
     gb_params = GBParams(eps_p=params.eps_p, eps_w=params.eps_w)
+    # every cell would reject these, so the sweep does before any work
+    GbCostParams(rho=params.rho, lam=params.lam)
     targets = resolve_targets(mesh.n_faces, face_targets)
 
     mesh_text = write_off(mesh)

@@ -31,6 +31,32 @@ def random_rotation(rng):
     return q
 
 
+def _cyclic(row):
+    """A triangle row rotated to start at its smallest id, which keeps
+    its orientation."""
+    k = row.index(min(row))
+    return row[k:] + row[:k]
+
+
+def star_rows(star):
+    """The oriented rows of every triangle the star spans, read off its
+    paths alone: the wings (v1, v2, vL) and (v2, v1, vR), then
+    (v2, upper[i+1], upper[i]) and (v1, lower[i], lower[i+1]); sorted,
+    each rotated by :func:`_cyclic`."""
+    a, b, up, lo = star.v1, star.v2, star.upper, star.lower
+    rows = [(a, b, star.vL), (b, a, star.vR)]
+    rows += [(b, up[i + 1], up[i]) for i in range(len(up) - 1)]
+    rows += [(a, lo[i], lo[i + 1]) for i in range(len(lo) - 1)]
+    return sorted(map(_cyclic, rows))
+
+
+def incident_rows(mesh, a, b):
+    """The oriented rows of the live triangles at a or b, as
+    :func:`star_rows` lists them."""
+    tris = mesh.incident_triangles(a) | mesh.incident_triangles(b)
+    return sorted(_cyclic(mesh.triangle(t)) for t in tris)
+
+
 def random_triangle(rng, scale=1.0):
     while True:
         pts = rng.normal(size=(3, 3)) * scale

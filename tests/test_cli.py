@@ -117,6 +117,36 @@ def test_decimate_bad_setting_exits_1(tmp_path, capsys, flag, value):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("command, settings", [
+    ("decimate", ["--cost", "gb", "--rho", "inf"]),
+    ("decimate", ["--cost", "gb", "--lambda", "inf"]),
+    ("energy", ["--eps-p", "0"]),
+    ("energy", ["--eps-w", "nan"]),
+    ("compare", ["--eps-p", "-1"]),
+    ("compare", ["--rho", "inf"]),
+    ("compare", ["--report", "r.txt"]),
+], ids=["rho-inf", "lambda-inf", "eps-p-0", "eps-w-nan", "compare-eps-p", "compare-rho-inf",
+        "report-txt"])
+def test_out_of_range_setting_exits_1(tmp_path, capsys, command, settings):
+    """A setting no run can use is an input error, caught before any
+    work: one ``error:`` line naming the typed error, exit 1, no
+    traceback and no file written."""
+    mesh, atoms = synthetic_molecule(n_atoms=5, level=2, radius=6.0, seed=4)
+    save_mesh(mesh, tmp_path / "in.off")
+    save_atoms(atoms, tmp_path / "mol.txt")
+    argv = [command, "--mesh", str(tmp_path / "in.off"), "--atoms", str(tmp_path / "mol.txt")]
+    if command == "decimate":
+        argv += ["--target-faces", "100", "--out", str(tmp_path / "out.off")]
+    elif command == "compare":
+        argv += ["--costs", "qe", "--targets", "50%", "--report", str(tmp_path / "out.csv")]
+    argv += [str(tmp_path / s) if s.endswith(".txt") else s for s in settings]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidConfig: ")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.off", "mol.txt"]
+
+
 def test_decimate_gb_qe(tmp_path):
     mesh, atoms = synthetic_molecule(n_atoms=5, level=1, radius=4.0, seed=2)
     mesh_path = tmp_path / "in.off"

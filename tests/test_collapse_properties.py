@@ -3,7 +3,9 @@ sequences on perturbed icospheres keep a valid closed manifold of Euler
 characteristic 2 after every collapse, and keep ids stable. A collapse
 of (a, b) retires exactly b and the edge's two triangles, rewrites b to
 a in b's other triangles, moves only a, and touches no other row; a
-retired slot never comes back."""
+retired slot never comes back. After every collapse, the edge star of
+each edge the decimator would refresh still spans exactly the
+triangles at its endpoints and snapshots the current positions."""
 
 import numpy as np
 import pytest
@@ -11,7 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decimesh import can_collapse, collapse_edge, validate
+from decimesh.mesh import StarCache, edge_star
 from decimesh.shapes import icosphere
+
+from conftest import incident_rows, star_rows
 
 # fixed examples and no example database: the same cases on every run
 SEQUENCES = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -26,6 +31,24 @@ def check_incidence(mesh):
         for v in mesh.triangle(t):
             want[v].add(t)
     assert [mesh.incident_triangles(v) for v in range(len(want))] == want
+
+
+def check_stars_near(mesh, center):
+    """Every edge with an endpoint in the 1-ring of ``center`` (center
+    included), both ways round, through one shared cache as the
+    decimator walks them: the star's paths give the oriented rows of
+    the triangles at its two endpoints, and its positions are the
+    mesh's."""
+    near = mesh.vertex_neighbors(center) | {center}
+    edges = {(min(u, w), max(u, w)) for u in near for w in mesh.vertex_neighbors(u)}
+    cache = StarCache()
+    for u, w in sorted(edges):
+        for v1, v2 in ((u, w), (w, u)):
+            star = edge_star(mesh, v1, v2, cache)
+            assert star_rows(star) == incident_rows(mesh, v1, v2)
+            assert (star.p1, star.p2) == (mesh.position(v1), mesh.position(v2))
+            assert star.upper_pos == tuple(map(mesh.position, star.upper))
+            assert star.lower_pos == tuple(map(mesh.position, star.lower))
 
 
 @pytest.mark.filterwarnings("error")
@@ -80,3 +103,4 @@ def test_collapse_sequences_keep_manifold_and_ids(level, seed, scale, data):
         assert stats.euler_characteristic == 2
         assert (stats.n_vertices, stats.n_faces) == (mesh.n_vertices, mesh.n_faces)
         check_incidence(mesh)
+        check_stars_near(mesh, a)

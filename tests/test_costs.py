@@ -29,13 +29,8 @@ def make_star(p1, p2, upper, lower):
     return EdgeStar(
         v1=0,
         v2=1,
-        vL=2,
-        vR=3,
         upper=tuple(range(2, 2 + len(upper))),
         lower=tuple(range(100, 100 + len(lower))),
-        upper_tris=tuple(range(len(upper) - 1)),
-        lower_tris=tuple(range(50, 50 + len(lower) - 1)),
-        wing_tris=(98, 99),
         p1=tuple(map(float, p1)),
         p2=tuple(map(float, p2)),
         upper_pos=tuple(upper),

@@ -27,6 +27,8 @@ from decimesh.errors import (
 from decimesh.geometry import is_well_centered, triangle_quality
 from decimesh.shapes import icosahedron, icosphere, octahedron, tetrahedron, uv_sphere
 
+from conftest import incident_rows, star_rows
+
 
 def bipyramid():
     """Two tetrahedra glued on a face: 5 vertices, 6 triangles."""
@@ -128,15 +130,16 @@ def test_shapes_are_outward_oriented():
 
 def test_edge_star_octahedron(octa):
     star = edge_star(octa, *next(octa.edges()))
-    assert (star.n_upper, star.n_lower) == (1, 1)
-    assert len(star.ring_triangle_ids()) == 4
-    assert len(star.ring_triangle_ids()) + 2 == 6  # six incident triangles
+    # one interior vertex on each ring between the two wings
+    assert (len(star.upper), len(star.lower)) == (3, 3)
+    assert len(star.ring_triangles_before()) == 4
+    assert len(star.all_triangles_before()) == 6  # six incident triangles
 
 
 def test_edge_star_tetrahedron(tetra):
     star = edge_star(tetra, *next(tetra.edges()))
-    assert (star.n_upper, star.n_lower) == (0, 0)
-    assert len(star.ring_triangle_ids()) == 2
+    assert star.upper == star.lower == (star.vL, star.vR)
+    assert len(star.ring_triangles_before()) == 2
 
 
 def test_edge_star_not_an_edge(octa):
@@ -151,10 +154,7 @@ def test_edge_star_reassembles_incident_set():
     bumpy.vertices += rng.normal(scale=0.08, size=bumpy.vertices.shape)
     for mesh in (octahedron(), icosphere(1), bumpy):
         for (a, b) in mesh.edges():
-            star = edge_star(mesh, a, b)
-            rebuilt = set(star.ring_triangle_ids()) | set(star.wing_tris)
-            incident = mesh.incident_triangles(a) | mesh.incident_triangles(b)
-            assert rebuilt == incident
+            assert star_rows(edge_star(mesh, a, b)) == incident_rows(mesh, a, b)
 
 
 def test_edge_star_non_manifold_neighborhood():
@@ -169,8 +169,9 @@ def test_edge_star_non_manifold_neighborhood():
 def test_edge_star_ring_paths_are_simple(octa):
     for (a, b) in octa.edges():
         star = edge_star(octa, a, b)
-        assert star.upper[0] == star.vL and star.upper[-1] == star.vR
-        assert star.lower[0] == star.vL and star.lower[-1] == star.vR
+        # both paths run between the same two distinct wings
+        assert (star.lower[0], star.lower[-1]) == (star.vL, star.vR)
+        assert star.vL != star.vR
         assert len(set(star.upper)) == len(star.upper)
         assert len(set(star.lower)) == len(star.lower)
 
@@ -233,10 +234,15 @@ def test_collapse_octahedron_counts(octa):
 def test_collapse_at_v1_keeps_lower_ring_geometry(octa):
     a, b = next(octa.edges())
     star = edge_star(octa, a, b)
-    lower_before = [octa.triangle_positions(t) for t in star.lower_tris]
     collapse_edge(octa, a, b, octa.position(a))
-    lower_after = [octa.triangle_positions(t) for t in star.lower_tris]
-    assert lower_before == lower_after
+    after = {
+        frozenset(octa.triangle(t)): set(octa.triangle_positions(t))
+        for t in octa.incident_triangles(a)
+    }
+    lo, lo_pos = star.lower, star.lower_pos
+    for i in range(len(lo) - 1):
+        tri = frozenset((a, lo[i], lo[i + 1]))
+        assert after[tri] == {star.p1, lo_pos[i], lo_pos[i + 1]}
 
 
 def test_collapse_rejected_when_illegal(tetra):

@@ -121,14 +121,15 @@ def _cmd_decimate(args):
 
 
 def _cmd_energy(args):
+    gamma = HarnessParams(gamma=args.gamma).gamma
+    params = GBParams(eps_p=args.eps_p, eps_w=args.eps_w)
     mesh = load_mesh(args.mesh)
     atoms = load_atoms(args.atoms)
-    params = GBParams(eps_p=args.eps_p, eps_w=args.eps_w)
     rule = quadrature_rule(args.quadrature)
     radii = born_radii(mesh, atoms, rule=rule)
     energy = g_pol(atoms, params, radii=radii)
     area = surface_area(mesh)
-    nonpolar = args.gamma * area
+    nonpolar = gamma * area
     unit = "e^2/A"
     if args.units == "kcal":
         energy *= KCAL_PER_E2_ANGSTROM

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, replace
-from itertools import chain, starmap
+from itertools import starmap
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -33,7 +33,6 @@ from .quadrics import (
     _PACK_J,
     Quadric,
     evaluate_packed,
-    minimize_packed,
     minimize_quadric,
     vertex_quadric,
 )
@@ -157,83 +156,39 @@ def f_pb(star: EdgeStar, vbar) -> float:
 
 # --- the batched candidate engine -------------------------------------------
 #
-# The Decimator scores the candidates of the star-based kinds (vol, pb,
-# gb, gb_qe) for a whole chunk of edges at once. Each kernel takes the
-# vertex array and the chunk's stars, of which it reads only the ids
-# (``v1``, ``v2`` and the ``upper``/``lower`` paths, which start and end
-# at the two wing vertices), so one gather turns them into corner
-# arrays. The kernels repeat the scalar functions' arithmetic in the
-# same operation and summation order, calling the scalar helpers
-# (``_volume_row``, ``geometry.centroid``, ``geometry.dot``) on
-# coordinate-first arrays where they can, so vol and the gb kinds
-# equal ``placement_for`` bit for bit and pb agrees
-# with it up to the last bits of ``arccos``. The kinds that take an
-# analytic candidate get it as an (E, 3) array with NaN rows for
-# "none", as the Decimator computes it from its packed quadric store.
+# The Decimator scores a whole chunk of edges at once. vol, gb and gb_qe
+# read only sums over each star's triangles and atoms, which it keeps per
+# vertex (from :func:`volume_rows` and :func:`triangle_centroids`); they
+# add in another order than the scalar oracles walk the star, so these
+# costs agree with ``placement_for`` up to rounding. pb walks each star
+# and agrees up to the last bits of ``arccos``. An analytic candidate
+# comes as an (E, 3) array with NaN rows for "none".
 
 
-class _Rings(NamedTuple):
-    """One chunk of stars gathered into coordinate-first corner arrays,
-    for E edges and T ring triangles. Ring triangle k is (apex[:, k],
-    b[:, k], c[:, k]) with apex p2 on the upper ring and p1 on the
-    lower; it belongs to path[k], which is 2e for the upper ring of edge
-    e and 2e + 1 for its lower ring, and within an edge the triangles
-    run in walk order, upper ring first."""
-
-    p1: np.ndarray       # (3, E)
-    p2: np.ndarray       # (3, E)
-    apex: np.ndarray     # (3, T)
-    b: np.ndarray        # (3, T)
-    c: np.ndarray        # (3, T)
-    path: np.ndarray     # (T,)
-    n_tris: np.ndarray   # (2E,) ring triangles per path
-    left: np.ndarray     # (3, E) the wing vertex upper[0]
-    right: np.ndarray    # (3, E) the wing vertex lower[-1]
+def volume_rows(vertices, tris):
+    """Packed ``G^T G`` of each (T, 3) triangle row, with G the
+    :func:`_volume_row` of its corners in row order: 36 times the term
+    the triangle adds to :func:`vol_quadric`, up to rounding."""
+    p = vertices[tris].T
+    row = np.array(_volume_row(p[:, 0], p[:, 1], p[:, 2]))
+    return (row[_PACK_I] * row[_PACK_J]).T
 
 
-def _gather_rings(vertices, stars):
-    """The shared front half of the kernels: one gather of the endpoints
-    and ring paths of ``stars``, so every operand below is contiguous."""
-    n_edges = len(stars)
-    ids, paths, lengths = [], [], []
-    for star in stars:
-        ids.append(star.v1)
-        ids.append(star.v2)
-        paths.extend(star.upper)
-        paths.extend(star.lower)
-        lengths.append(len(star.upper))
-        lengths.append(len(star.lower))
-    ids.extend(paths)
-    pts = vertices.take(np.array(ids), axis=0).T.copy()
-    ends, path_pts = pts[:, : 2 * n_edges], pts[:, 2 * n_edges:]
-
-    lengths = np.array(lengths)
-    last = np.cumsum(lengths) - 1
-    # ring triangle k spans a path vertex and the next one on its path
-    starts = np.ones(len(paths), dtype=bool)
-    starts[last] = False
-    starts = np.flatnonzero(starts)
-    path = np.repeat(np.arange(2 * n_edges), lengths - 1)
-    return _Rings(
-        p1=ends[:, 0::2],
-        p2=ends[:, 1::2],
-        apex=ends.take(path ^ 1, axis=1),
-        b=path_pts.take(starts, axis=1),
-        c=path_pts.take(starts + 1, axis=1),
-        path=path,
-        n_tris=lengths - 1,
-        left=path_pts.take(last[0::2] - lengths[0::2] + 1, axis=1),
-        right=path_pts.take(last[1::2], axis=1),
-    )
+def triangle_centroids(vertices, tris):
+    """``geometry.centroid`` of each (T, 3) triangle row's corners in
+    row order, as a (T, 3) array."""
+    p = vertices[tris].T
+    return np.array(geometry_centroid(p[:, 0], p[:, 1], p[:, 2])).T
 
 
-def _endpoint_candidates(r):
-    """(3, 4, E) candidate array {midpoint, v1, v2, -} per edge, the
-    fourth slot left for the caller."""
-    cands = np.empty((3, 4, r.p1.shape[1]))
-    cands[:, 1] = r.p1
-    cands[:, 2] = r.p2
+def _candidate_points(p1, p2, analytic):
+    """(3, 4, E) candidate array {midpoint, v1, v2, analytic} per edge
+    from (3, E) endpoints and (E, 3) analytic points."""
+    cands = np.empty((3, 4, p1.shape[1]))
+    cands[:, 1] = p1
+    cands[:, 2] = p2
     cands[:, 0] = 0.5 * (cands[:, 1] + cands[:, 2])
+    cands[:, 3] = np.asarray(analytic, dtype=float).reshape(-1, 3).T
     return cands
 
 
@@ -244,32 +199,6 @@ def _pick(cands, costs):
     pick = np.argmin(costs, axis=0)
     edge_ids = np.arange(costs.shape[1])
     return cands[pick, edge_ids], costs[pick, edge_ids]
-
-
-def vol_placements(vertices, stars):
-    """``placement_for("vol", ...)`` for a chunk of stars, bit for bit.
-
-    ``_volume_row`` itself builds the rows, on coordinate arrays, over
-    the triangles of ``EdgeStar.all_triangles_before`` in that order
-    (upper ring, lower ring, then the two wings); ``bincount`` adds each
-    edge's products in that order from 0.0, as ``Quadric.from_planes``
-    does, and ``minimize_packed`` equals ``minimize_quadric`` and
-    ``evaluate``. Returns (points (E, 3), costs (E,)).
-    """
-    n_edges = len(stars)
-    r = _gather_rings(vertices, stars)
-    a = np.concatenate([r.apex, r.p1, r.p2], axis=1)
-    b = np.concatenate([r.b, r.p2, r.p1], axis=1)
-    c = np.concatenate([r.c, r.left, r.right], axis=1)
-    edge_ids = np.arange(n_edges)
-    owner = np.concatenate([r.path >> 1, edge_ids, edge_ids])
-
-    row = np.array(_volume_row(a, b, c))
-    products = row[_PACK_I] * row[_PACK_J]
-    bins = owner + n_edges * np.arange(10)[:, None]
-    sums = np.bincount(bins.ravel(), products.ravel(), minlength=10 * n_edges)
-    q = sums.reshape(10, n_edges).T * (1.0 / 36.0)
-    return minimize_packed(q, r.p1.T, r.p2.T)
 
 
 def pb_placements(vertices, stars, analytic):
@@ -301,16 +230,28 @@ def pb_candidate_costs(vertices, stars, analytic):
     n_edges = len(stars)
     if n_edges == 0:
         return np.empty((4, 0, 3)), np.empty((4, 0))
-    r = _gather_rings(vertices, stars)
-    owner = r.path >> 1
-    cands = _endpoint_candidates(r)
-    cands[:, 3] = np.asarray(analytic, dtype=float).reshape(n_edges, 3).T
+    # one gather of the endpoints and ring paths, upper then lower per
+    # edge; ring triangle k spans a path vertex and the next one on its
+    # path, which is 2e for the upper ring of edge e and 2e + 1 for its
+    # lower ring, with apex p2 on the upper ring and p1 on the lower
+    ids = [v for star in stars for v in (star.v1, star.v2)]
+    paths = [v for star in stars for v in (*star.upper, *star.lower)]
+    lengths = np.array([len(p) for star in stars for p in (star.upper, star.lower)])
+    pts = vertices.take(np.array(ids + paths), axis=0).T.copy()
+    ends, path_pts = pts[:, : 2 * n_edges], pts[:, 2 * n_edges:]
+    starts = np.ones(len(paths), dtype=bool)
+    starts[np.cumsum(lengths) - 1] = False
+    starts = np.flatnonzero(starts)
+    path = np.repeat(np.arange(2 * n_edges), lengths - 1)
+    owner = path >> 1
+    cands = _candidate_points(ends[:, 0::2], ends[:, 1::2], analytic)
 
     # apex before the collapse, then at each candidate: (3, 5, T)
-    apex = np.empty((3, 5, len(r.path)))
-    apex[:, 0] = r.apex
+    apex = np.empty((3, 5, len(path)))
+    apex[:, 0] = ends.take(path ^ 1, axis=1)
     apex[:, 1:] = cands.take(owner, axis=2)
-    q = triangle_quality_array(apex, r.b, r.c)
+    q = triangle_quality_array(apex, path_pts.take(starts, axis=1),
+                               path_pts.take(starts + 1, axis=1))
     terms = q[1:] - q[0]
     # a candidate equal to the ring's own apex leaves that ring unchanged
     ax, ay, az = apex
@@ -326,63 +267,51 @@ def pb_candidate_costs(vertices, stars, analytic):
     return cands.transpose(1, 2, 0), costs
 
 
-def gb_placements(vertices, stars, analytic, q, centers, atom_ids, params):
-    """``placement_for("gb"|"gb_qe", ...)`` for a chunk of stars, bit for bit.
+class StarSums(NamedTuple):
+    """What the atom term reads of E edges: the centroid sums of the
+    ring triangles at v2 (upper) and v1 (lower), their counts, and the
+    count and center sum of the atoms within rho of either endpoint."""
 
-    ``analytic`` is the (E, 3) ``minimize_quadric`` point of each star's
-    summed endpoint quadrics, NaN where an endpoint has none, and ``q``
-    that (E, 10) packed sum; ``atom_ids[i]`` lists, in ascending order,
-    the rows of ``centers`` within rho of star i. ``params.variant``
-    picks the first term: the edge length, or the quadric cost ``q``
-    (where an edge without quadrics is infeasible). The ring centroid
-    sums (by ``bincount``, in walk order) and the atom-center sums (in
-    atom-id order, as ``np.sum`` adds the rows) feed
-    :class:`_AtomTermEvaluator`'s expression, evaluated at {midpoint,
-    v1, v2, analytic}. Returns (points (E, 3), costs (E,)), with cost
-    ``inf`` where no candidate survives.
+    upper: np.ndarray     # (3, E)
+    lower: np.ndarray     # (3, E)
+    n_upper: np.ndarray   # (E,)
+    n_lower: np.ndarray   # (E,)
+    m: np.ndarray         # (E,)
+    atom_sum: np.ndarray  # (3, E)
+
+
+def gb_placements(p1, p2, analytic, q, sums, lam, quadric_first):
+    """``placement_for("gb"|"gb_qe", ...)`` for E edges from their sums.
+
+    ``p1``, ``p2`` are the (3, E) endpoints and ``analytic`` the (E, 3)
+    ``minimize_quadric`` point of the (E, 10) packed endpoint sums
+    ``q``. ``quadric_first`` picks the first term: the quadric cost
+    (gb_qe; infeasible without quadrics) or the edge length (gb).
+    :class:`_AtomTermEvaluator`'s expression is evaluated at {midpoint,
+    v1, v2, analytic}. Returns (points (E, 3), costs (E,)), cost ``inf``
+    where no candidate survives.
     """
-    n_edges = len(stars)
-    r = _gather_rings(vertices, stars)
-    cands = _endpoint_candidates(r)
-    cands[:, 3] = np.asarray(analytic, dtype=float).reshape(n_edges, 3).T
-
-    # the atom term: sums over each ring, then over each edge's atoms
-    centroids = geometry_centroid(r.apex, r.b, r.c)
-    ring_sums = np.stack([
-        np.bincount(r.path, w, minlength=2 * n_edges) for w in centroids
-    ])
-    upper, lower = ring_sums[:, 0::2], ring_sums[:, 1::2]
-    n_upper, n_lower = r.n_tris[0::2], r.n_tris[1::2]
-    m = np.array([len(ids) for ids in atom_ids])
-    ids = np.fromiter(chain.from_iterable(atom_ids), dtype=np.int64, count=m.sum())
-    atom_owner = np.repeat(np.arange(n_edges), m)
-    atom_sum = np.stack([
-        np.bincount(atom_owner, w, minlength=n_edges) for w in centers.take(ids, axis=0).T
-    ])
-
+    cands = _candidate_points(p1, p2, analytic)
     with np.errstate(invalid="ignore", over="ignore"):
-        d2 = (cands - r.p2[:, None]) / 3.0
-        d1 = (cands - r.p1[:, None]) / 3.0
+        d2 = (cands - p2[:, None]) / 3.0
+        d1 = (cands - p1[:, None]) / 3.0
         sq_change = -(
-            2.0 * (dot(d2, upper) + dot(d1, lower))
-            + n_upper * dot(d2, d2) + n_lower * dot(d1, d1)
+            2.0 * (dot(d2, sums.upper) + dot(d1, sums.lower))
+            + sums.n_upper * dot(d2, d2) + sums.n_lower * dot(d1, d1)
         )
-        shift = n_upper * d2 + n_lower * d1
-        atom_term = np.abs(m * sq_change + 2.0 * dot(shift, atom_sum))
-        atom_term[:, m == 0] = 0.0
+        shift = sums.n_upper * d2 + sums.n_lower * d1
+        atom_term = np.abs(sums.m * sq_change + 2.0 * dot(shift, sums.atom_sum))
+        atom_term[:, sums.m == 0] = 0.0
 
-        if params.variant == "qe_term":
+        if quadric_first:
             first = evaluate_packed(q, *cands)
         else:
-            dx, dy, dz = r.p1 - r.p2
-            first = np.broadcast_to(np.sqrt(dx * dx + dy * dy + dz * dz), (4, n_edges))
-        costs = first if params.lam == 0.0 else first + params.lam * atom_term
+            dx, dy, dz = p1 - p2
+            first = np.broadcast_to(np.sqrt(dx * dx + dy * dy + dz * dz), (4, p1.shape[1]))
+        costs = first if lam == 0.0 else first + lam * atom_term
     costs = np.where(np.isnan(costs), np.inf, costs)
-    none = np.isnan(cands[0, 3])
-    if params.variant == "qe_term":
-        costs[:, none] = np.inf
-    else:
-        costs[3, none] = np.inf
+    # no analytic point: no quadric, so gb_qe has no candidate at all
+    costs[slice(None) if quadric_first else 3, np.isnan(cands[0, 3])] = np.inf
     return _pick(cands.transpose(1, 2, 0), costs)
 
 

@@ -8,21 +8,14 @@ edges, so stale entries are skipped on pop instead of being removed.
 Costs are always recomputed from the current mesh geometry, which keeps
 every cost kind a pure function of the live star.
 
-Endpoint quadrics live in one packed per-vertex array, rebuilt from the
-current positions with the queue and rewritten row by row around each
-commit (memoryless simplification in the sense of Lindstrom & Turk).
-Its rows equal ``vertex_quadric`` bit for bit, and every kind minimizes
-quadrics in batches that equal ``minimize_quadric`` bit for bit.
-
-Candidates are computed in batches, never edge by edge: ``qe`` straight
-from the store, and the star-based kinds (vol, pb, gb, gb_qe) by one
-engine that walks each chunk of edges once (``mesh.edge_star``, which
-collects each edge's two ring paths of vertex ids and nothing else) and
-scores it with the kind's numpy kernel from :mod:`decimesh.costs`. The
-kernels add their terms in the scalar oracles' order (each edge's ring
-triangles upper ring first, then the wings; atom centers by ascending
-id), so vol, gb and gb_qe equal ``placement_for`` bit for bit and an
-audit against the scalar oracles matches every queued candidate.
+Everything a candidate reads lives in a per-vertex store, rebuilt from
+the current positions with the queue and rewritten around each commit
+(memoryless simplification in the sense of Lindstrom & Turk). Candidates
+are computed in batches: ``qe`` from the packed quadrics, minimized bit
+for bit as ``minimize_quadric`` does; vol, gb and gb_qe from per-vertex
+sums less the two wing triangles, with no edge star, which equal
+``placement_for`` up to the rounding of their summation order; pb by
+walking each chunk of stars once (``mesh.edge_star``).
 
 A run builds the queue once and commits collapses until the face target
 is reached or the queue runs dry. Nothing moves a vertex except a
@@ -44,9 +37,11 @@ from .costs import (
     COST_KINDS,
     CollapseCandidate,
     GbCostParams,
+    StarSums,
     gb_placements,
     pb_placements,
-    vol_placements,
+    triangle_centroids,
+    volume_rows,
 )
 from .errors import (
     DecimeshError,
@@ -77,10 +72,20 @@ from .costs import placement_for, vol_quadric  # noqa: F401
 from .quadrics import minimize_quadric  # noqa: F401
 
 # edges per candidate batch: one numpy pass of the candidate engine and
-# one shared StarCache, which bounds their scratch memory on big meshes;
-# (vertex, triangle) pairs per pass when the packed quadric rows are
-# rebuilt
+# (for pb) one shared StarCache, which bounds their scratch memory on big
+# meshes; (vertex, triangle) pairs per pass when the store is rebuilt
 _CHUNK = 2048
+
+_NO_ATOMS = np.empty(0, dtype=np.int64)
+
+
+def _sorted_unique(keys):
+    """``np.unique`` of int keys by one sort (numpy 2's is hash-based
+    and several times slower from a few hundred keys up)."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
 
 
 def _edge_keys(tris, n, mark=None):
@@ -93,7 +98,7 @@ def _edge_keys(tris, n, mark=None):
     if mark is not None:
         touched = mark[lo] | mark[hi]
         lo, hi = lo[touched], hi[touched]
-    keys = np.unique(lo * n + hi)
+    keys = _sorted_unique(lo * n + hi)
     return np.stack([keys // n, keys % n], axis=1)
 
 
@@ -176,8 +181,7 @@ class Decimator:
         self.mesh = mesh
         self.config = config
         kind = config.cost_kind
-        variant = "qe_term" if kind == "gb_qe" else "edge_length"
-        self.params = GbCostParams(rho=config.rho, lam=config.lam, variant=variant)
+        self.params = GbCostParams(rho=config.rho, lam=config.lam)
         self.trace = DecimationTrace()
 
         self._grid = None
@@ -188,15 +192,16 @@ class Decimator:
 
         self._heap = []
         self._versions = {}
-        # sorted atom ids within rho of each vertex, for gb/gb_qe
-        self._balls = {}
-        # the only quadric store: row v packs vertex_quadric(mesh, v)
-        # bit for bit, or zeros where that raises IsolatedVertex;
-        # build_queue rebuilds every row and each commit rewrites the
-        # rows of the merged vertex and its 1-ring (all kinds but vol,
-        # which reads no endpoint quadric)
-        self._qv = np.zeros((len(mesh.vertices), 10))
-        self._mark = np.zeros(len(mesh.vertices), dtype=bool)
+        # the per-vertex store (see _recompute_quadric_rows), and for gb
+        # and gb_qe the ascending ids of the atoms within rho of each
+        # vertex
+        n = len(mesh.vertices)
+        self._qv = np.zeros((n, 10))
+        self._mark = np.zeros(n, dtype=bool)
+        if self._grid is not None:
+            self._centroids = np.zeros((n, 3))
+            self._degree = np.zeros(n, dtype=np.int64)
+            self._atom_balls = [_NO_ATOMS] * n
 
     # -- candidate computation -------------------------------------------
 
@@ -211,57 +216,79 @@ class Decimator:
         return self._candidates([(a, b)])[0]
 
     def _candidates(self, edges):
-        """Candidates of a list of (a, b) edges under a star-based kind
-        (every kind but qe), None where infeasible.
-
-        The one engine for vol, pb, gb and gb_qe: each chunk of edges is
-        walked once by ``edge_star``, whose ``v1``, ``v2``, ``upper``
-        and ``lower`` ids are all the engine reads, and scored in one
-        numpy pass by the kind's kernel in :mod:`decimesh.costs`, which
-        repeats the scalar arithmetic in its operation and summation
-        order. pb, gb and gb_qe share one analytic candidate per edge,
-        minimized from the packed store; gb_qe also scores with the
-        summed rows. vol, gb and gb_qe equal ``placement_for`` bit for
-        bit.
-        """
-        mesh = self.mesh
-        kind = self.config.cost_kind
-        vertices = mesh.vertices
+        """Candidates of (a, b) edges (a list or an (E, 2) array) under
+        every kind but qe, None where infeasible; one numpy pass per
+        chunk of edges."""
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        score = self._star_chunk if self.config.cost_kind == "pb" else self._sum_chunk
         out = [None] * len(edges)
         for start in range(0, len(edges), _CHUNK):
-            cache = StarCache()
-            slots, stars = [], []
-            for i in range(start, min(start + _CHUNK, len(edges))):
-                a, b = edges[i]
-                try:
-                    stars.append(edge_star(mesh, a, b, cache))
-                except (NotAnEdge, StarNotDisk):
-                    continue
-                slots.append(i)
-            if not stars:
-                continue
-            if kind == "vol":
-                # every vol candidate is feasible, whatever its cost
-                points, costs = vol_placements(vertices, stars)
-                feasible = np.ones(len(stars), dtype=bool)
-            else:
-                ends = np.array([(s.v1, s.v2) for s in stars])
-                q, analytic, _, has_q = self._quadric_minima(ends)
-                analytic[~has_q] = np.nan
-                if kind == "pb":
-                    points, costs = pb_placements(vertices, stars, analytic)
-                else:
-                    atom_ids = [self._atom_ids(a, b) for a, b in ends.tolist()]
-                    points, costs = gb_placements(
-                        vertices, stars, analytic, q,
-                        self._grid.centers, atom_ids, self.params,
-                    )
-                feasible = costs != math.inf
-            for i, point, cost, ok in zip(slots, points.tolist(), costs.tolist(),
-                                          feasible.tolist()):
-                if ok:
-                    out[i] = (tuple(point), cost)
+            slots, points, costs = score(edges[start:start + _CHUNK])
+            for i, point, cost in zip(slots, points.tolist(), costs.tolist()):
+                if cost != math.inf:
+                    out[start + i] = (tuple(point), cost)
         return out
+
+    def _star_chunk(self, edges):
+        """pb (slots, points, costs) of the edges of an (E, 2) array
+        that have a star: each is walked once by ``edge_star``."""
+        cache = StarCache()
+        slots, stars = [], []
+        for i, (a, b) in enumerate(edges.tolist()):
+            try:
+                stars.append(edge_star(self.mesh, a, b, cache))
+            except (NotAnEdge, StarNotDisk):
+                continue
+            slots.append(i)
+        _, analytic, _, has_q = self._quadric_minima(edges[slots])
+        analytic[~has_q] = np.nan
+        return (slots, *pb_placements(self.mesh.vertices, stars, analytic))
+
+    def _sum_chunk(self, edges):
+        """vol, gb and gb_qe (slots, points, costs) of the edges of an
+        (E, 2) array, from the per-vertex store with no edge star.
+
+        Both endpoints count the two wing triangles, so an edge's star
+        sums are the endpoint sums less the wings: the volume form
+        (V(a) + V(b) - wings) / 36 and the ring centroid sums C(b) -
+        wings, C(a) - wings over degree - 2 triangles. Edges whose ends
+        share other than two triangles have no disk star: infeasible.
+        """
+        incident = self.mesh._vertex_tris
+        slots, wings = [], []
+        for i, (a, b) in enumerate(edges.tolist()):
+            shared = incident[a] & incident[b]
+            if len(shared) == 2:
+                slots.append(i)
+                wings.extend(shared)
+        ends = edges[slots]
+        a, b = ends.T
+        vertices = self.mesh.vertices
+        wing_tris = self.mesh.triangles[np.array(wings, dtype=np.int64)]
+        if self.config.cost_kind == "vol":
+            w = volume_rows(vertices, wing_tris)
+            q = (self._qv[a] + self._qv[b] - w[0::2] - w[1::2]) * (1.0 / 36.0)
+            return (slots, *minimize_packed(q, vertices[a], vertices[b]))
+        q, analytic, _, has_q = self._quadric_minima(ends)
+        analytic[~has_q] = np.nan
+        w = triangle_centroids(vertices, wing_tris)
+        cen, ring = self._centroids, self._degree - 2
+        sums = StarSums((cen[b] - w[0::2] - w[1::2]).T, (cen[a] - w[0::2] - w[1::2]).T,
+                        ring[b], ring[a], *self._atom_sums(ends))
+        return (slots, *gb_placements(vertices[a].T, vertices[b].T, analytic, q, sums,
+                                      self.params.lam, self.config.cost_kind == "gb_qe"))
+
+    def _atom_sums(self, ends):
+        """Count and (3, E) center sum of the atoms in ball(a) | ball(b)
+        of each (E, 2) edge, added by ascending id as the oracle adds."""
+        parts = [self._atom_balls[v] for v in ends.ravel().tolist()]
+        centers = self._grid.centers
+        n_edges, n_atoms = len(ends), max(len(centers), 1)
+        owner = np.repeat(np.arange(2 * n_edges) >> 1, [len(p) for p in parts])
+        keys = _sorted_unique(owner * n_atoms + np.concatenate([_NO_ATOMS, *parts]))
+        owner, ids = np.divmod(keys, n_atoms)
+        atom_sum = [np.bincount(owner, w, minlength=n_edges) for w in centers[ids].T]
+        return np.bincount(owner, minlength=n_edges), np.array(atom_sum)
 
     def _has_plane(self, v):
         """Whether each vertex of id array ``v`` has a nondegenerate
@@ -283,19 +310,6 @@ class Decimator:
         points, costs = minimize_packed(q, ends[:, 0], ends[:, 1])
         return q, points, costs, self._has_plane(edges).all(axis=1)
 
-    def _atom_ids(self, a, b):
-        """Sorted atoms within rho of either endpoint: the set
-        ``grid.query_edge`` returns, merged from cached per-vertex balls."""
-        balls = self._balls
-        ids = []
-        for v in (a, b):
-            ball = balls.get(v)
-            if ball is None:
-                ball = self._grid.query_ball(self.mesh.position(v), self.params.rho)
-                balls[v] = ball
-            ids.extend(ball)
-        return sorted(set(ids))
-
     def _batch_candidates(self, edges):
         """qe candidates of an (E, 2) edge array in one pass over the
         packed store: ``placement_for("qe", ...)`` on the endpoints'
@@ -316,7 +330,7 @@ class Decimator:
             self._push_batch(edges, heapify)
             return
         keys = list(zip(edges[:, 0].tolist(), edges[:, 1].tolist()))
-        self._enqueue(keys, self._candidates(keys), heapify)
+        self._enqueue(keys, self._candidates(edges), heapify)
 
     def _push_batch(self, edges, heapify):
         """Queue the qe candidates of an (E, 2) edge array. They are
@@ -348,24 +362,26 @@ class Decimator:
             heapq.heapify(heap)
 
     def build_queue(self):
-        """Rebuild the quadric store from the current positions and
+        """Rebuild the per-vertex store from the current positions and
         compute a candidate for every live edge."""
         self._heap = []
         self._versions = {}
-        self._balls = {}
         mesh = self.mesh
         n = len(mesh.vertices)
         self._recompute_quadric_rows(range(n))
+        if self._grid is not None:
+            self._query_balls(mesh.live_vertex_ids())
         self._push_edges(_edge_keys(mesh.live_triangle_array(), n), heapify=True)
 
     def refresh(self, center, ring=None):
-        """Rewrite the quadric rows of ``center`` (the merged vertex) and
-        its 1-ring, and recompute the candidates of every edge with an
+        """Rewrite the store rows of ``center`` (the merged vertex, the
+        only one that moved, so the only atom ball to re-query) and its
+        1-ring, and recompute the candidates of every edge with an
         endpoint among them.
 
         Any edge outside this set has an unchanged star, unchanged
-        endpoint quadrics and an unchanged legality status, so its
-        queued candidate is still exact. Returns the refreshed edge set.
+        endpoint rows and an unchanged legality status, so its queued
+        candidate is still exact. Returns the refreshed edge set.
         """
         if ring is None:
             ring = self.mesh.vertex_neighbors(center)
@@ -379,6 +395,8 @@ class Decimator:
         verts = sorted(ring)
         verts.append(center)
         self._recompute_quadric_rows(verts)
+        if self._grid is not None:
+            self._query_balls(np.array([center]))
 
         incident = mesh._vertex_tris
         rows = mesh.triangles[list(set().union(*(incident[v] for v in verts)))]
@@ -390,31 +408,48 @@ class Decimator:
         return edges
 
     def _recompute_quadric_rows(self, verts):
-        """Rewrite the packed quadric rows of ``verts`` from the current
-        positions.
+        """Rewrite the store rows of ``verts`` from the current positions.
 
-        Row v sums the plane quadrics of ``mesh.incident_triangles(v)``
-        in that set's iteration order, as :func:`vertex_quadric` does,
-        so ``Quadric(*row)`` equals it bit for bit; a vertex with no
-        nondegenerate triangle gets a zero row. ``vol`` reads no
-        endpoint quadric, so it keeps no rows.
+        Row v of ``_qv`` sums over ``mesh.incident_triangles(v)``, in
+        that set's order, their plane quadrics as :func:`vertex_quadric`
+        does (bit for bit; zeros if all are degenerate), or under vol
+        their :func:`volume_rows`. For gb and gb_qe, ``_centroids[v]``
+        sums their centroids and ``_degree[v]`` counts them.
         """
-        if self.config.cost_kind == "vol":
-            return
         mesh = self.mesh
         incident = mesh._vertex_tris
         sets = [incident[v] for v in verts]
-        owners = np.repeat(np.asarray(verts, dtype=np.int64), [len(s) for s in sets])
+        sizes = [len(s) for s in sets]
+        owners = np.repeat(np.asarray(verts, dtype=np.int64), sizes)
         tri_ids = np.fromiter(
             (t for s in sets for t in s), dtype=np.int64, count=len(owners)
         )
+        vol = self.config.cost_kind == "vol"
+        atoms = self._grid is not None
         qv = self._qv
         qv[verts] = 0.0
+        if atoms:
+            self._degree[verts] = sizes
+            self._centroids[verts] = 0.0
         for start in range(0, len(owners), _CHUNK):
             part = slice(start, start + _CHUNK)
-            rows, good = plane_quadric_rows(mesh.vertices, mesh.triangles[tri_ids[part]])
+            tris = mesh.triangles[tri_ids[part]]
             # add.at adds pair by pair, in order, like the scalar loop
+            if vol:
+                np.add.at(qv, owners[part], volume_rows(mesh.vertices, tris))
+                continue
+            rows, good = plane_quadric_rows(mesh.vertices, tris)
             np.add.at(qv, owners[part][good], rows[good])
+            if atoms:
+                np.add.at(self._centroids, owners[part],
+                          triangle_centroids(mesh.vertices, tris))
+
+    def _query_balls(self, verts):
+        """Re-query the atom balls of vertex id array ``verts``."""
+        owner, ids = self._grid.query_balls(self.mesh.vertices[verts], self.params.rho)
+        ends = np.cumsum(np.bincount(owner, minlength=len(verts)))[:-1]
+        for v, ball in zip(verts.tolist(), np.split(ids, ends)):
+            self._atom_balls[v] = ball
 
     def _compact_heap(self):
         """Drop stale entries once they dominate the heap, so push cost
@@ -467,8 +502,6 @@ class Decimator:
                 TraceRecord(a, b, point, cost, mesh.n_faces,
                             flipped=len(record.flipped_triangles))
             )
-            self._balls.pop(a, None)
-            self._balls.pop(b, None)
             self._batch_refresh(a, mesh.vertex_neighbors(a))
 
             if cfg.validate_every and len(trace.records) % cfg.validate_every == 0:

@@ -1,4 +1,4 @@
-"""Uniform hashed grid for radius queries over atom centers.
+"""Uniform cell grid for radius queries over atom centers.
 
 Candidate cells give a superset; every query filters exactly, so results
 equal a brute-force linear scan (closed balls: distance exactly equal to
@@ -7,16 +7,24 @@ the radius is included).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 
-class UniformGrid:
-    """Immutable cell hash over a fixed set of points.
+@functools.lru_cache(maxsize=64)
+def _box_offsets(nx, ny, nz):
+    """(nx * ny * nz, 3) cell offsets of a box of cells; do not mutate."""
+    return np.indices((nx, ny, nz)).reshape(3, -1).T
 
-    Built once from atom centers; each point lives in exactly one cell
-    of side ``cell_size``. Query methods return sorted point indices.
+
+class UniformGrid:
+    """Immutable cell table over a fixed set of points.
+
+    Each point lives in exactly one cell of a dense table over the box
+    of occupied cells, of side ``cell_size`` doubled while the box has
+    over ``8 * len(points) + 64`` cells. Queries return sorted indices.
     """
 
     def __init__(self, centers, cell_size):
@@ -31,44 +39,65 @@ class UniformGrid:
         if centers.size and not np.isfinite(centers).all():
             raise ValueError("atom centers must be finite")
         self.centers = centers.copy()
-        self._cells = {}
-        if len(centers):
-            keys = np.floor(centers / self.cell_size).astype(np.int64)
-            for i, key in enumerate(map(tuple, keys.tolist())):
-                self._cells.setdefault(key, []).append(i)
+        side = self.cell_size
+        cells = np.zeros((0, 3), dtype=np.int64)
+        origin, dims = np.zeros(3, dtype=np.int64), np.ones(3, dtype=np.int64)
+        while len(centers):
+            cells = np.floor(centers / side).astype(np.int64)
+            origin = cells.min(axis=0)
+            dims = cells.max(axis=0) - origin + 1
+            if math.prod(dims.tolist()) <= 8 * len(centers) + 64:
+                break
+            side *= 2.0
+        self._inv = 1.0 / side
+        self._origin = origin.astype(float)
+        self._top = (dims - 1).astype(float)
+        self._strides = np.array([dims[1] * dims[2], dims[2], 1])
+        keys = (cells - origin) @ self._strides
+        # point ids grouped by cell, ascending within a cell
+        self._order = np.argsort(keys, kind="stable")
+        self._counts = np.bincount(keys, minlength=math.prod(dims.tolist()))
+        self._starts = np.cumsum(self._counts) - self._counts
 
     def __len__(self):
         return len(self.centers)
 
-    def _candidates(self, point, radius):
-        inv = 1.0 / self.cell_size
-        lo = [math.floor((point[k] - radius) * inv) for k in range(3)]
-        hi = [math.floor((point[k] + radius) * inv) for k in range(3)]
-        cells = self._cells
-        out = []
-        for i in range(lo[0], hi[0] + 1):
-            for j in range(lo[1], hi[1] + 1):
-                for k in range(lo[2], hi[2] + 1):
-                    bucket = cells.get((i, j, k))
-                    if bucket:
-                        out.extend(bucket)
-        return out
+    def query_balls(self, points, radius):
+        """Every pair (i, j) with |centers[j] - points[i]| <= radius for
+        an (n, 3) array of points, as two id arrays sorted by i, then j."""
+        none = np.empty(0, dtype=np.int64)
+        points = np.asarray(points, dtype=float).reshape(-1, 3)
+        if not len(self.centers) or radius < 0 or not len(points):
+            return none, none
+        # each point's box of cells, clipped to the table
+        lo = np.maximum(np.floor((points - radius) * self._inv) - self._origin, 0.0)
+        hi = np.minimum(np.floor((points + radius) * self._inv) - self._origin, self._top)
+        lo = lo.astype(np.int64)
+        span = np.maximum(hi.astype(np.int64) - lo + 1, 0)
+        # every cell of every box, as (point, cell) pairs
+        offsets = _box_offsets(*span.max(axis=0).tolist())
+        owner, cell = np.nonzero((offsets < span[:, None]).all(axis=2))
+        cell = (lo[owner] + offsets[cell]) @ self._strides
+        # expanded to (point, candidate id) pairs
+        counts = self._counts[cell]
+        first = self._starts[cell] - (np.cumsum(counts) - counts)
+        owner = np.repeat(owner, counts)
+        ids = self._order[np.repeat(first, counts) + np.arange(len(owner))]
+
+        d2 = ((self.centers[ids] - points[owner]) ** 2).sum(axis=1)
+        near = d2 <= radius * radius
+        pairs = owner[near] * len(self.centers) + ids[near]
+        pairs.sort()
+        return np.divmod(pairs, len(self.centers))
 
     def query_ball(self, point, radius):
-        """Sorted indices of points with |x - point| <= radius."""
-        if not len(self.centers) or radius < 0:
-            return []
-        cand = self._candidates(point, radius)
-        if not cand:
-            return []
-        c = self.centers[cand]
-        d2 = ((c - np.asarray(point, dtype=float)) ** 2).sum(axis=1)
-        r2 = radius * radius
-        return sorted(i for i, ok in zip(cand, d2 <= r2) if ok)
+        """Sorted indices of points with |x - point| <= radius: the
+        one-point case of :meth:`query_balls`."""
+        return self.query_balls([point], radius)[1].tolist()
 
     def query_edge(self, p1, p2, radius):
         """Sorted indices within ``radius`` of either endpoint (closed balls)."""
-        return sorted(set(self.query_ball(p1, radius)).union(self.query_ball(p2, radius)))
+        return np.unique(self.query_balls([p1, p2], radius)[1]).tolist()
 
 
 def _atom_centers(atoms):

@@ -15,6 +15,7 @@ import csv
 import hashlib
 import io as _stdio
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -29,7 +30,8 @@ from .mesh import quality_summary
 
 @dataclass(frozen=True)
 class HarnessParams:
-    """Pinned parameters for a comparison sweep."""
+    """Pinned parameters for a comparison sweep. A ``gamma`` that is not
+    finite and nonnegative raises ``InvalidConfig``."""
 
     rho: float = 5.0
     lam: float = 1e-8
@@ -37,6 +39,10 @@ class HarnessParams:
     eps_w: float = 80.0
     gamma: float = 0.005
     quadrature: str = "centroid_1pt"
+
+    def __post_init__(self):
+        if not 0 <= self.gamma < math.inf:
+            raise InvalidConfig(f"gamma must be nonnegative and finite, got {self.gamma}")
 
 
 @dataclass

@@ -1,3 +1,8 @@
+import importlib
+import types
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -83,3 +88,189 @@ def synthetic_molecule(n_atoms=20, level=3, radius=10.0, seed=7):
     ]
     mesh = icosphere(level, radius=radius)
     return mesh, atoms
+
+
+# -- the vol / gb / gb_qe engine against its oracles -------------------------
+#
+# Those costs come from per-vertex sums, which add in another order than
+# the scalar oracles walk the star, so they agree with the oracles up to
+# rounding, not bit for bit. These helpers hold them to the allowance the
+# benchmark audits every recorded cost with (bench/checks.py), and to an
+# exact rational evaluation on the same float inputs.
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+EPS = 2.0**-52
+# |engine cost - exact cost| <= EXACT_ROUNDING * (size of the terms the
+# cost is the difference of) + 4 ulp of the cost
+EXACT_ROUNDING = 64 * EPS
+
+
+def bits(values):
+    """Float values as raw 64-bit patterns, so -0.0 != 0.0 and NaN == NaN."""
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def bench_checks():
+    """bench/checks.py, whose ``_oracle`` gives the scalar cost of an
+    edge and the allowance the benchmark grants a cost computed another
+    way."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(BENCH))
+        return importlib.import_module("checks")
+
+
+def program_modules():
+    """The modules ``checks._oracle`` reads, as the benchmark passes them."""
+    return types.SimpleNamespace(
+        **{m: importlib.import_module(f"decimesh.{m}")
+           for m in ("costs", "errors", "mesh", "quadrics")}
+    )
+
+
+def oracle_params(config):
+    """The scalar oracle's parameters for a run, as bench/checks.py
+    builds them: gb_qe names the quadric first term itself."""
+    from decimesh.costs import GbCostParams
+
+    variant = "qe_term" if config.cost_kind == "gb_qe" else "edge_length"
+    return GbCostParams(rho=config.rho, lam=config.lam, variant=variant)
+
+
+def _exact(p):
+    return [Fraction(c) for c in p]
+
+
+def _det(p, q, r):
+    return (p[0] * (q[1] * r[2] - q[2] * r[1])
+            - p[1] * (q[0] * r[2] - q[2] * r[0])
+            + p[2] * (q[0] * r[1] - q[1] * r[0]))
+
+
+def _term_size(q, p):
+    """Packed quadric ``q`` at ``p`` with every term made positive."""
+    xx, xy, xz, xw, yy, yz, yw, zz, zw, ww = map(abs, q)
+    x, y, z = map(abs, p)
+    return (xx * x * x + yy * y * y + zz * z * z + ww
+            + 2.0 * (xy * x * y + xz * x * z + yz * y * z + xw * x + yw * y + zw * z))
+
+
+def exact_cost(mesh, kind, a, b, point, centers, lam, q=None):
+    """The cost of collapsing (a, b) to ``point``, evaluated in exact
+    rational arithmetic on the float positions, and the size of the
+    terms a float evaluation cancels.
+
+    vol is the sum of det(t - x)^2 / 36 over the triangles at a or b
+    (the float oracle's quadric sets the size). gb and gb_qe add lam
+    times the exact atom term, the summed change of squared
+    centroid-to-atom distances over the non-wing triangles, to the first
+    term: the float edge length for gb, or for gb_qe the packed quadric
+    sum ``q`` (the oracle's, bit for bit) at ``point``, exactly."""
+    from decimesh.costs import vol_quadric
+    from decimesh.geometry import dist
+    from decimesh.mesh import edge_star
+
+    x = _exact(point)
+    tris = mesh.incident_triangles(a) | mesh.incident_triangles(b)
+    if kind == "vol":
+        total = Fraction(0)
+        for t in tris:
+            p, r, s = ([c - xc for c, xc in zip(_exact(mesh.position(v)), x)]
+                       for v in mesh.triangle(t))
+            total += _det(p, r, s) ** 2
+        vq = vol_quadric(edge_star(mesh, a, b))
+        return total / 36, _term_size(vq, point)
+
+    m = len(centers)
+    s = [sum(Fraction(c) for c in centers[:, k].tolist()) for k in range(3)]
+    atom_term = Fraction(0)
+    size = 0.0
+    wings = mesh.incident_triangles(a) & mesh.incident_triangles(b)
+    for t in tris - wings:
+        ids = mesh.triangle(t)
+        before = [sum(col) / 3 for col in zip(*(_exact(mesh.position(v)) for v in ids))]
+        after = [sum(col) / 3 for col in zip(*(x if v in (a, b) else _exact(mesh.position(v))
+                                               for v in ids))]
+        shift = [u - w for u, w in zip(after, before)]
+        atom_term += (m * sum(u * u - w * w for u, w in zip(after, before))
+                      - 2 * sum(d * e for d, e in zip(shift, s)))
+        size += float(m * sum(u * u + w * w for u, w in zip(after, before))
+                      + 2 * sum(abs(d * e) for d, e in zip(shift, s)))
+    atom_term = abs(atom_term)
+    if kind == "gb":
+        first = Fraction(dist(mesh.position(a), mesh.position(b)))
+        first_size = 0.0
+    else:
+        xx, xy, xz, xw, yy, yz, yw, zz, zw, ww = _exact(q)
+        px, py, pz = x
+        first = (xx * px * px + yy * py * py + zz * pz * pz + ww
+                 + 2 * (xy * px * py + xz * px * pz + yz * py * pz
+                        + xw * px + yw * py + zw * pz))
+        first_size = _term_size(q, point)
+    return first + Fraction(lam) * atom_term, first_size + lam * size
+
+
+def assert_near_oracle(checks, dec, grid, edges, got, exact_every=0):
+    """Each engine candidate ``got[i]`` of ``edges[i]`` on ``dec.mesh``
+    as it is now: None exactly where ``placement_for`` has none; else
+    its cost is the bench oracle's at its placement within the bench
+    allowance, and the oracle's optimum within the two placements'
+    allowances. Every ``exact_every``-th candidate is also checked
+    against :func:`exact_cost` within EXACT_ROUNDING. Returns how many
+    candidates equal the oracle's bit for bit."""
+    from decimesh import placement_for
+    from decimesh.errors import CandidateInfeasible, IsolatedVertex
+    from decimesh.mesh import edge_star
+    from decimesh.quadrics import vertex_quadric
+
+    mesh, kind = dec.mesh, dec.config.cost_kind
+    params = oracle_params(dec.config)
+    dm = program_modules()
+    same = 0
+    for i, ((a, b), cand) in enumerate(zip(edges, got)):
+        star = edge_star(mesh, a, b)
+        q1 = q2 = None
+        if kind != "vol":
+            try:
+                q1, q2 = vertex_quadric(mesh, a), vertex_quadric(mesh, b)
+            except IsolatedVertex:
+                pass
+        ids = [] if kind == "vol" else grid.query_edge(star.p1, star.p2, params.rho)
+        centers = np.empty((0, 3)) if kind == "vol" else grid.centers[ids]
+        try:
+            if kind == "gb_qe" and q1 is None:
+                raise CandidateInfeasible("no quadric")
+            want = placement_for(kind, star, q1, q2, centers, params)
+        except CandidateInfeasible:
+            want = None
+        if want is None or cand is None:
+            assert cand is want, ((a, b), cand, want)
+            continue
+        same += cand == want
+        point, cost = cand
+        cost_at, allowance = checks._oracle(dm, mesh, kind, a, b, grid, params)
+        at_point = cost_at(point)
+        slack = allowance(point, at_point)
+        assert abs(cost - at_point) <= slack, ((a, b), cost, at_point)
+        assert abs(cost - want[1]) <= slack + allowance(want[0], want[1]), ((a, b), cand, want)
+        if exact_every and i % exact_every == 0:
+            q = None if q1 is None else q1 + q2
+            exact, size = exact_cost(mesh, kind, a, b, point, centers, params.lam, q)
+            err = abs(Fraction(cost) - exact)
+            assert err <= Fraction(EXACT_ROUNDING * size + 4 * EPS * abs(cost)), \
+                ((a, b), cost, float(exact), size)
+    return same
+
+
+def assert_atom_sums_equal_grid(dec, grid, edges):
+    """The engine's atom count and center sum of each edge, from the
+    cached per-vertex balls, equal ``np.sum`` over a fresh
+    ``grid.query_edge`` bit for bit, as the scalar oracle adds them.
+    Returns the counts."""
+    mesh = dec.mesh
+    m, atom_sum = dec._atom_sums(np.array(edges))
+    for (a, b), k, got in zip(edges, m.tolist(), atom_sum.T):
+        ids = grid.query_edge(mesh.position(a), mesh.position(b), dec.config.rho)
+        assert k == len(ids)
+        want = np.sum(grid.centers[ids], axis=0) if ids else np.zeros(3)
+        assert bits(got) == bits(want)
+    return m.tolist()

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from decimesh import load_mesh, save_atoms, save_mesh, validate
+from decimesh import HarnessParams, load_mesh, save_atoms, save_mesh, validate
 from decimesh.cli import cli_main, main
+from decimesh.errors import InvalidConfig
 from decimesh.gb import Atom
 from decimesh.shapes import icosphere, tetrahedron
 
@@ -122,11 +123,14 @@ def test_decimate_bad_setting_exits_1(tmp_path, capsys, flag, value):
     ("decimate", ["--cost", "gb", "--lambda", "inf"]),
     ("energy", ["--eps-p", "0"]),
     ("energy", ["--eps-w", "nan"]),
+    ("energy", ["--gamma", "nan"]),
+    ("energy", ["--gamma", "-0.1"]),
+    ("energy", ["--gamma", "inf"]),
     ("compare", ["--eps-p", "-1"]),
     ("compare", ["--rho", "inf"]),
     ("compare", ["--report", "r.txt"]),
-], ids=["rho-inf", "lambda-inf", "eps-p-0", "eps-w-nan", "compare-eps-p", "compare-rho-inf",
-        "report-txt"])
+], ids=["rho-inf", "lambda-inf", "eps-p-0", "eps-w-nan", "gamma-nan", "gamma-negative",
+        "gamma-inf", "compare-eps-p", "compare-rho-inf", "report-txt"])
 def test_out_of_range_setting_exits_1(tmp_path, capsys, command, settings):
     """A setting no run can use is an input error, caught before any
     work: one ``error:`` line naming the typed error, exit 1, no
@@ -145,6 +149,21 @@ def test_out_of_range_setting_exits_1(tmp_path, capsys, command, settings):
     assert err.startswith("error: InvalidConfig: ")
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.off", "mol.txt"]
+
+
+@pytest.mark.parametrize("gamma", ["nan", "-1", "inf"])
+def test_energy_checks_gamma_before_reading_input(tmp_path, capsys, gamma):
+    """A bad ``--gamma`` is reported before the input is read: the
+    missing files would otherwise end the run with an OSError."""
+    argv = ["energy", "--mesh", str(tmp_path / "none.off"),
+            "--atoms", str(tmp_path / "none.txt"), "--gamma", gamma]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidConfig: gamma")
+    assert "Traceback" not in err
+    with pytest.raises(InvalidConfig):
+        HarnessParams(gamma=float(gamma))
+    assert HarnessParams(gamma=0.0).gamma == 0.0
 
 
 def test_decimate_gb_qe(tmp_path):

@@ -55,6 +55,29 @@ def test_edge_queries_match_brute_force():
         assert grid_query_edge(grid, p1, p2, rho) == brute_edge(centers, p1, p2, rho)
 
 
+def test_query_balls_is_query_ball_per_point():
+    rng = np.random.default_rng(5)
+    centers = rng.uniform(-20, 20, size=(500, 3))
+    grid = grid_build(centers, cell_size=5.0)
+    points = rng.uniform(-25, 25, size=(60, 3))
+    for radius in (0.0, 3.0, 5.0, 40.0):
+        owner, ids = grid.query_balls(points, radius)
+        for i, point in enumerate(points.tolist()):
+            assert ids[owner == i].tolist() == brute_ball(centers, point, radius)
+    owner, ids = grid.query_balls(np.empty((0, 3)), 5.0)
+    assert len(owner) == len(ids) == 0
+
+
+def test_sparse_points_keep_the_table_small():
+    # 0.5-A cells over a 1000-A box would be 8e9 cells: the side doubles
+    centers = np.array([[0.0, 0.0, 0.0], [1000.0, 0.0, 0.0], [0.0, 1000.0, 1000.0],
+                        [0.3, 0.0, 0.0]])
+    grid = grid_build(centers, cell_size=0.5)
+    assert len(grid._counts) <= 8 * len(centers) + 64
+    for point in [(0.0, 0.0, 0.0), (1000.2, 0.0, 0.0), (500.0, 500.0, 500.0)]:
+        assert grid.query_ball(point, 0.5) == brute_ball(centers, point, 0.5)
+
+
 def test_boundary_is_closed_ball():
     grid = grid_build(np.array([[1.0, 0.0, 0.0]]), cell_size=5.0)
     assert grid.query_ball((0.0, 0.0, 0.0), 1.0) == [0]
@@ -73,10 +96,16 @@ def test_every_atom_in_exactly_one_cell():
     rng = np.random.default_rng(4)
     centers = rng.uniform(-10, 10, size=(200, 3))
     grid = UniformGrid(centers, cell_size=1.7)
-    seen = []
-    for bucket in grid._cells.values():
-        seen.extend(bucket)
-    assert sorted(seen) == list(range(200))
+    assert sorted(grid._order.tolist()) == list(range(200))
+    assert grid._counts.sum() == 200
+    cells = np.floor(centers * grid._inv)
+    occupied = 0
+    for start, count in zip(grid._starts.tolist(), grid._counts.tolist()):
+        bucket = grid._order[start:start + count]
+        assert (cells[bucket] == cells[bucket[:1]]).all()
+        assert (np.diff(bucket) > 0).all()
+        occupied += count > 0
+    assert len({tuple(c) for c in cells.tolist()}) == occupied
 
 
 def test_invalid_inputs():

@@ -1,14 +1,20 @@
-"""The Decimator's packed quadric store, batched minimizer and batched
+"""The Decimator's per-vertex store, batched minimizer and batched
 candidate engine against the scalar oracles (`vertex_quadric`,
-`minimize_quadric`, `placement_for`), compared bit for bit."""
+`minimize_quadric`, `placement_for`): compared bit for bit for the
+store, qe, pb and the atom sums, and within rounding (the benchmark's
+allowance and an exact rational evaluation) for the vol, gb and gb_qe
+costs, whose per-vertex sums add in another order than the oracles."""
+
+from itertools import starmap
 
 import numpy as np
 import pytest
 
-from decimesh import Atom, grid_build, placement_for
-from decimesh.costs import pb_placements
+from decimesh import Atom, can_collapse, collapse_edge, grid_build, placement_for
+from decimesh.costs import _volume_row, pb_placements
 from decimesh.decimate import DecimationConfig, Decimator, _edge_keys
 from decimesh.errors import CandidateInfeasible, IsolatedVertex
+from decimesh.geometry import centroid
 from decimesh.mesh import edge_star
 from decimesh.quadrics import (
     DET_GUARD,
@@ -20,12 +26,13 @@ from decimesh.quadrics import (
 )
 from decimesh.shapes import icosphere
 
-from conftest import random_triangle
-
-
-def bits(values):
-    """Float values as raw 64-bit patterns, so -0.0 != 0.0 and NaN == NaN."""
-    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+from conftest import (
+    assert_atom_sums_equal_grid,
+    assert_near_oracle,
+    bench_checks,
+    bits,
+    random_triangle,
+)
 
 
 def same_candidate(got, want):
@@ -125,8 +132,10 @@ def test_rebuild_after_moving_vertices(kind):
     """After vertices move between collapses, a second ``build_queue``
     rebuilds the quadric store from the current positions: every live
     row equals ``vertex_quadric``, and every later committed candidate
-    is the oracle's on the current mesh, bit for bit."""
+    is the oracle's on the current mesh, bit for bit for qe and pb and
+    within rounding for gb_qe."""
     rng = np.random.default_rng(4)
+    checks = bench_checks()
     atoms = [Atom(center=(0.1, -0.2, 0.05), charge=1.0)]
     cfg = DecimationConfig(cost_kind=kind, target_faces=80)
     grid = grid_build(atoms, cell_size=cfg.rho)
@@ -146,8 +155,10 @@ def test_rebuild_after_moving_vertices(kind):
             points, costs = pb_placements(mesh.vertices, [star], [analytic])
             want = (tuple(points[0].tolist()), float(costs[0]))
         else:
-            ids = grid.query_edge(star.p1, star.p2, cfg.rho)
-            want = placement_for(kind, star, q1, q2, grid.centers[ids], dec.params)
+            # per-vertex sums: the oracle's cost up to rounding
+            got = [(cand.placement, cand.cost)]
+            assert_near_oracle(checks, dec, grid, [(a, b)], got, exact_every=1)
+            want = got[0]
         commits.append(same_candidate((cand.placement, cand.cost), want))
 
     dec.build_queue()
@@ -200,7 +211,7 @@ def test_isolated_vertex_keeps_its_meaning():
             assert dec.trace.rejections["infeasible_candidate"] >= len(ring)
 
 
-# -- the batched candidate engine of vol, gb and gb_qe ---------------------
+# -- the star-free candidate engine of vol, gb and gb_qe -------------------
 
 
 def ball_atoms(n, seed, radius=8.0):
@@ -212,37 +223,20 @@ def ball_atoms(n, seed, radius=8.0):
     return [Atom(center=tuple(x * s), charge=1.0) for x, s in zip(d, r)]
 
 
-def oracle_candidate(mesh, kind, a, b, grid, params):
-    """``placement_for`` on a fresh ``edge_star``, ``vertex_quadric`` and
-    ``grid.query_edge``; None where the queue would drop the edge."""
-    star = edge_star(mesh, a, b)
-    if kind == "vol":
-        return placement_for("vol", star)
-    try:
-        q1, q2 = vertex_quadric(mesh, a), vertex_quadric(mesh, b)
-    except IsolatedVertex:
-        if kind == "gb_qe":
-            return None
-        q1 = q2 = None
-    atoms = grid.centers[grid.query_edge(star.p1, star.p2, params.rho)]
-    try:
-        return placement_for(kind, star, q1, q2, atoms, params)
-    except CandidateInfeasible:
-        return None
-
-
-def assert_engine_is_oracle(dec, atoms):
-    """``Decimator._candidates`` over every live edge equals the oracle
-    bit for bit; returns the atom count each edge saw."""
+def assert_engine_near_oracle(dec, atoms, exact_every=10):
+    """``Decimator._candidates`` over every live edge against the
+    scalar oracles (see ``conftest.assert_near_oracle``), and the atom
+    count and atom-center sum of every edge equal to those of a fresh
+    ``grid.query_edge`` bit for bit. Returns the atom count each edge
+    saw."""
     mesh = dec.mesh
     grid = grid_build(atoms, cell_size=dec.config.rho)
     edges = sorted(mesh.edges())
-    counts = []
-    for (a, b), got in zip(edges, dec._candidates(edges)):
-        want = oracle_candidate(mesh, dec.config.cost_kind, a, b, grid, dec.params)
-        assert same_candidate(got, want), ((a, b), got, want)
-        counts.append(len(grid.query_edge(mesh.position(a), mesh.position(b), dec.config.rho)))
-    return counts
+    assert_near_oracle(bench_checks(), dec, grid, edges, dec._candidates(edges), exact_every)
+    if dec.config.cost_kind != "vol":
+        return assert_atom_sums_equal_grid(dec, grid, edges)
+    return [len(grid.query_edge(mesh.position(a), mesh.position(b), dec.config.rho))
+            for a, b in edges]
 
 
 @pytest.mark.parametrize("kind", ["vol", "gb", "gb_qe"])
@@ -250,18 +244,20 @@ def assert_engine_is_oracle(dec, atoms):
 def test_engine_equals_placement_for(kind, lam):
     """On a perturbed sphere with 150 atoms inside, before and after 120
     collapses: edges near many atoms (more than the eight a pairwise sum
-    would split), and edges with none."""
+    would split), and edges with none. Costs within the bench allowance
+    of the oracle and within rounding of the exact cost; atom sums bit
+    for bit."""
     mesh = perturbed_sphere(3, seed=81, scale=0.05)
     mesh.vertices *= 10.0
     atoms = ball_atoms(150, seed=82)
     cfg = DecimationConfig(cost_kind=kind, target_faces=mesh.n_faces - 240, lam=lam)
     dec = Decimator(mesh, cfg, atoms=atoms if kind != "vol" else None)
     dec.build_queue()
-    counts = assert_engine_is_oracle(dec, atoms)
+    counts = assert_engine_near_oracle(dec, atoms)
     assert min(counts) == 0 and max(counts) > 8
     while mesh.n_faces > cfg.target_faces:
         assert dec.step() is not None
-    assert_engine_is_oracle(dec, atoms)
+    assert_engine_near_oracle(dec, atoms)
 
 
 @pytest.mark.parametrize("kind", ["vol", "gb", "gb_qe"])
@@ -274,7 +270,7 @@ def test_engine_equals_placement_for_on_flat_stars(kind):
     cfg = DecimationConfig(cost_kind=kind, target_faces=100, rho=0.5, lam=0.1)
     dec = Decimator(mesh, cfg, atoms=atoms if kind != "vol" else None)
     dec.build_queue()
-    assert_engine_is_oracle(dec, atoms)
+    assert_engine_near_oracle(dec, atoms)
 
 
 @pytest.mark.parametrize("kind", ["vol", "gb", "gb_qe"])
@@ -290,9 +286,71 @@ def test_engine_equals_placement_for_at_isolated_vertex(kind):
     dec = Decimator(mesh, cfg, atoms=atoms if kind != "vol" else None)
     dec.build_queue()
     assert not dec._has_plane([0])[0]
-    assert_engine_is_oracle(dec, atoms)
+    assert_engine_near_oracle(dec, atoms)
     got = dec._candidates([(0, u) for u in ring])
     if kind == "gb_qe":
         assert got == [None] * len(ring)
     else:
         assert None not in got
+
+
+def assert_store_is_fresh(dec, centers):
+    """Every live vertex's store rows equal a from-scratch scalar
+    recompute on the current mesh, bit for bit: the packed row
+    (``vertex_quadric``, or under vol the ``_volume_row`` form of its
+    triangles), and for gb and gb_qe the centroid sum, the degree and
+    the atom ball (a brute-force scan)."""
+    mesh, kind = dec.mesh, dec.config.cost_kind
+    rho = dec.config.rho
+    for v in mesh.live_vertex_ids().tolist():
+        tris = [mesh.triangle_positions(t) for t in mesh.incident_triangles(v)]
+        if kind == "vol":
+            want = Quadric.from_planes(starmap(_volume_row, tris))
+        else:
+            try:
+                want = vertex_quadric(mesh, v)
+            except IsolatedVertex:
+                want = Quadric.zero()
+        assert bits(dec._qv[v]) == bits(want), v
+        if kind == "vol":
+            continue
+        sums = [0.0, 0.0, 0.0]
+        for tri in tris:
+            for k, c in enumerate(centroid(*tri)):
+                sums[k] += c
+        assert bits(dec._centroids[v]) == bits(sums), v
+        assert dec._degree[v] == len(tris)
+        d2 = ((centers - mesh.vertices[v]) ** 2).sum(axis=1)
+        assert dec._atom_balls[v].tolist() == np.flatnonzero(d2 <= rho * rho).tolist(), v
+
+
+@pytest.mark.parametrize("kind", ["vol", "gb", "gb_qe"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_store_follows_random_collapses(kind, seed):
+    """After every commit of a random collapse sequence (random legal
+    edges and placements through ``collapse_edge`` and ``refresh``,
+    mixed with greedy ``step`` commits), the per-vertex store equals a
+    from-scratch recompute: the vol row, centroid sum, degree and atom
+    ball of every live vertex."""
+    rng = np.random.default_rng(seed)
+    mesh = perturbed_sphere(2, seed=90 + seed, scale=0.05)
+    mesh.vertices *= 3.0
+    atoms = ball_atoms(60, seed=92 + seed, radius=3.5)
+    centers = np.array([a.center for a in atoms])
+    cfg = DecimationConfig(cost_kind=kind, target_faces=4, rho=1.5)
+    dec = Decimator(mesh, cfg, atoms=atoms if kind != "vol" else None)
+    dec.build_queue()
+    assert_store_is_fresh(dec, centers)
+    for _ in range(40):
+        if rng.random() < 0.25:
+            assert dec.step() is not None
+        else:
+            legal = [e for e in sorted(mesh.edges()) if can_collapse(mesh, *e).ok]
+            a, b = legal[rng.integers(len(legal))]
+            if rng.random() < 0.5:
+                a, b = b, a
+            t = rng.random()
+            vbar = tuple(((1.0 - t) * mesh.vertices[a] + t * mesh.vertices[b]).tolist())
+            collapse_edge(mesh, a, b, vbar, warn_on_flip=False)
+            dec.refresh(a)
+        assert_store_is_fresh(dec, centers)

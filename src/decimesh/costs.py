@@ -32,7 +32,6 @@ from .quadrics import (
     _PACK_I,
     _PACK_J,
     Quadric,
-    evaluate_packed,
     minimize_quadric,
     vertex_quadric,
 )
@@ -280,13 +279,14 @@ class StarSums(NamedTuple):
     atom_sum: np.ndarray  # (3, E)
 
 
-def gb_placements(p1, p2, analytic, q, sums, lam, quadric_first):
+def gb_placements(p1, p2, analytic, quadric_costs, sums, lam):
     """``placement_for("gb"|"gb_qe", ...)`` for E edges from their sums.
 
     ``p1``, ``p2`` are the (3, E) endpoints and ``analytic`` the (E, 3)
-    ``minimize_quadric`` point of the (E, 10) packed endpoint sums
-    ``q``. ``quadric_first`` picks the first term: the quadric cost
-    (gb_qe; infeasible without quadrics) or the edge length (gb).
+    ``minimize_quadric`` point of the packed endpoint sums.
+    ``quadric_costs`` picks the first term: for gb_qe, the (4, E) costs
+    of those sums at the four candidates, as ``minimize_packed`` returns
+    them (infeasible without quadrics); for gb, None: the edge length.
     :class:`_AtomTermEvaluator`'s expression is evaluated at {midpoint,
     v1, v2, analytic}. Returns (points (E, 3), costs (E,)), cost ``inf``
     where no candidate survives.
@@ -303,15 +303,15 @@ def gb_placements(p1, p2, analytic, q, sums, lam, quadric_first):
         atom_term = np.abs(sums.m * sq_change + 2.0 * dot(shift, sums.atom_sum))
         atom_term[:, sums.m == 0] = 0.0
 
-        if quadric_first:
-            first = evaluate_packed(q, *cands)
-        else:
+        if quadric_costs is None:
             dx, dy, dz = p1 - p2
             first = np.broadcast_to(np.sqrt(dx * dx + dy * dy + dz * dz), (4, p1.shape[1]))
+        else:
+            first = quadric_costs
         costs = first if lam == 0.0 else first + lam * atom_term
     costs = np.where(np.isnan(costs), np.inf, costs)
     # no analytic point: no quadric, so gb_qe has no candidate at all
-    costs[slice(None) if quadric_first else 3, np.isnan(cands[0, 3])] = np.inf
+    costs[3 if quadric_costs is None else slice(None), np.isnan(cands[0, 3])] = np.inf
     return _pick(cands.transpose(1, 2, 0), costs)
 
 

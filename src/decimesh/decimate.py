@@ -240,7 +240,7 @@ class Decimator:
             except (NotAnEdge, StarNotDisk):
                 continue
             slots.append(i)
-        _, analytic, _, has_q = self._quadric_minima(edges[slots])
+        analytic, _, _, has_q = self._quadric_minima(edges[slots])
         analytic[~has_q] = np.nan
         return (slots, *pb_placements(self.mesh.vertices, stars, analytic))
 
@@ -268,15 +268,17 @@ class Decimator:
         if self.config.cost_kind == "vol":
             w = volume_rows(vertices, wing_tris)
             q = (self._qv[a] + self._qv[b] - w[0::2] - w[1::2]) * (1.0 / 36.0)
-            return (slots, *minimize_packed(q, vertices[a], vertices[b]))
-        q, analytic, _, has_q = self._quadric_minima(ends)
+            return (slots, *minimize_packed(q, vertices[a], vertices[b])[:2])
+        analytic, _, quadric_costs, has_q = self._quadric_minima(ends)
         analytic[~has_q] = np.nan
         w = triangle_centroids(vertices, wing_tris)
         cen, ring = self._centroids, self._degree - 2
         sums = StarSums((cen[b] - w[0::2] - w[1::2]).T, (cen[a] - w[0::2] - w[1::2]).T,
                         ring[b], ring[a], *self._atom_sums(ends))
-        return (slots, *gb_placements(vertices[a].T, vertices[b].T, analytic, q, sums,
-                                      self.params.lam, self.config.cost_kind == "gb_qe"))
+        if self.config.cost_kind == "gb":
+            quadric_costs = None
+        return (slots, *gb_placements(vertices[a].T, vertices[b].T, analytic, quadric_costs,
+                                      sums, self.params.lam))
 
     def _atom_sums(self, ends):
         """Count and (3, E) center sum of the atoms in ball(a) | ball(b)
@@ -301,21 +303,21 @@ class Decimator:
         return qv[v, 0] + qv[v, 4] + qv[v, 7] + qv[v, 9] > 0.0
 
     def _quadric_minima(self, edges):
-        """The summed endpoint rows of each (E, 2) edge, their
-        ``minimize_quadric`` point and its cost, and whether both
-        endpoints have a quadric at all (see :meth:`_has_plane`)."""
+        """``minimize_packed`` of the summed endpoint rows of each (E, 2)
+        edge (point, cost and the (4, E) candidate costs), and whether
+        both endpoints have a quadric at all (see :meth:`_has_plane`)."""
         q = self._qv[edges]
         q = q[:, 0] + q[:, 1]
         ends = self.mesh.vertices[edges]
-        points, costs = minimize_packed(q, ends[:, 0], ends[:, 1])
-        return q, points, costs, self._has_plane(edges).all(axis=1)
+        return (*minimize_packed(q, ends[:, 0], ends[:, 1]),
+                self._has_plane(edges).all(axis=1))
 
     def _batch_candidates(self, edges):
         """qe candidates of an (E, 2) edge array in one pass over the
         packed store: ``placement_for("qe", ...)`` on the endpoints'
         ``vertex_quadric`` per edge, bit for bit, and None where an
         endpoint is isolated."""
-        _, points, costs, ok = self._quadric_minima(edges)
+        points, costs, _, ok = self._quadric_minima(edges)
         return [
             ((x, y, z), cost) if k else None
             for (x, y, z), cost, k in zip(points.tolist(), costs.tolist(), ok.tolist())

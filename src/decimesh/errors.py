@@ -115,6 +115,12 @@ class InvalidRadius(NumericalError):
         super().__init__(f"atom {atom_index} has non-positive Born radius {value!r}")
 
 
+class InvalidCharge(InputError):
+    def __init__(self, atom_index, value):
+        self.atom_index = atom_index
+        super().__init__(f"atom {atom_index} has non-finite charge {value!r}")
+
+
 # --- file I/O ----------------------------------------------------------------
 
 class ParseError(InputError):

@@ -276,8 +276,11 @@ def minimize_packed(q, p1, p2):
     """:func:`minimize_quadric` and ``Quadric.evaluate`` of its result
     for (E, 10) packed quadrics and (E, 3) endpoints, one row per edge.
 
-    Returns (points (E, 3), costs (E,)), equal to the scalar results bit
-    for bit, branch choices and tie order included.
+    Returns (points (E, 3), costs (E,), candidate costs (4, E)): the
+    first two equal the scalar results bit for bit, branch choices and
+    tie order included; the last holds the costs at the midpoint, p1,
+    p2 and the returned point (NaN as ``inf`` but at the midpoint), and
+    ``costs`` is its last row.
     """
     xx, xy, xz, xw, yy, yz, yw, zz, zw, ww = np.ascontiguousarray(q.T)
     with np.errstate(all="ignore"):
@@ -330,4 +333,5 @@ def minimize_packed(q, p1, p2):
         costs[1:][np.isnan(costs[1:])] = np.inf
     pick = np.argmin(costs, axis=0)
     rows = np.arange(len(pick))
-    return points[pick, rows], costs[pick, rows]
+    costs[3] = costs[pick, rows]
+    return points[pick, rows], costs[3], costs

@@ -220,6 +220,31 @@ def test_energy_numerical_failure_exits_2(tmp_path, sphere_file, capsys):
     assert "NonPositiveIntegral" in capsys.readouterr().err
 
 
+def test_energy_non_finite_charge_exits_1(monkeypatch, sphere_file, centered_atom_file, capsys):
+    # atom files cannot hold a NaN charge, so the loaded atom gets one
+    def load_nan_charge(path):
+        return [Atom(center=(0, 0, 0), charge=float("nan"))]
+
+    monkeypatch.setattr("decimesh.cli.load_atoms", load_nan_charge)
+    code = cli_main(["energy", "--mesh", sphere_file, "--atoms", centered_atom_file])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidCharge: atom 0 has non-finite charge nan")
+    assert "Traceback" not in err
+
+
+def test_energy_overflowing_pair_terms_exit_2(tmp_path, sphere_file, capsys):
+    # q_i q_j = -1e400 overflows: the pair terms are +-inf
+    atoms = tmp_path / "huge.txt"
+    save_atoms([Atom(center=(0, 0, 0), charge=1e200), Atom(center=(0.1, 0, 0), charge=-1e200)],
+               atoms)
+    code = cli_main(["energy", "--mesh", sphere_file, "--atoms", str(atoms)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: NumericalError: a G_pol pair term is not finite")
+    assert "Traceback" not in err
+
+
 def test_compare_writes_reports(tmp_path, capsys):
     mesh, atoms = synthetic_molecule(n_atoms=5, level=2, radius=6.0, seed=4)
     mesh_path = tmp_path / "in.off"

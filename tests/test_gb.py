@@ -1,8 +1,13 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import decimesh.gb as gb_module
 
 from decimesh import (
     Atom,
@@ -19,12 +24,14 @@ from decimesh import (
 )
 from decimesh.errors import (
     AtomTooCloseToSurface,
+    InvalidCharge,
     InvalidRadius,
     NonPositiveIntegral,
+    NumericalError,
 )
 from decimesh.shapes import icosphere
 
-from conftest import random_rotation
+from conftest import bits, random_rotation, synthetic_molecule
 
 
 def flipped(mesh):
@@ -128,6 +135,48 @@ def test_atom_too_close_to_surface():
     with pytest.raises(AtomTooCloseToSurface) as info:
         born_radii(mesh, [Atom(center=near, charge=1.0)])
     assert info.value.atom_index == 0
+
+
+def test_atom_too_close_names_first_atom_and_distance():
+    mesh = icosphere(2)
+    nodes, _, _ = mesh_quadrature(mesh, CENTROID_1PT)
+    unit = nodes / np.linalg.norm(nodes, axis=1)[:, None]
+    atoms = [
+        Atom(center=(0, 0, 0), charge=1.0),
+        Atom(center=nodes[5] - 1e-8 * unit[5], charge=1.0),
+        Atom(center=nodes[7] - 1e-9 * unit[7], charge=1.0),
+    ]
+    with pytest.raises(AtomTooCloseToSurface) as info:
+        born_radii(mesh, atoms)
+    assert info.value.atom_index == 1
+    assert info.value.distance == pytest.approx(1e-8, rel=1e-6)
+    assert "atom 1 is 1e-08 A" in str(info.value)
+
+
+def born_radii_fsum(mesh, atoms, rule):
+    """Born radii from Python floats, each dot product and the flux sum
+    by ``math.fsum``."""
+    nodes, weights, normals = mesh_quadrature(mesh, rule)
+    rows = list(zip(nodes.tolist(), weights.tolist(), normals.tolist()))
+    radii = []
+    for atom in atoms:
+        c = atom.center.tolist()
+        flux = []
+        for p, w, n in rows:
+            d = [p[k] - c[k] for k in range(3)]
+            r2 = math.fsum(x * x for x in d)
+            flux.append(math.fsum(x * y for x, y in zip(d, n)) * w / (r2 * r2))
+        radii.append(4.0 * math.pi / math.fsum(flux))
+    return radii
+
+
+@pytest.mark.parametrize("rule", [CENTROID_1PT, SYMMETRIC_3PT])
+def test_born_radii_match_fsum_reference(rule):
+    mesh, atoms = synthetic_molecule(n_atoms=12, level=3, radius=10.0, seed=31)
+    mesh.vertices += np.random.default_rng(31).normal(scale=0.2, size=mesh.vertices.shape)
+    got = born_radii(mesh, atoms, rule=rule)
+    want = born_radii_fsum(mesh, atoms, rule)
+    assert np.abs(got / want - 1.0).max() <= 1e-14
 
 
 def test_quadrature_rules_converge_together():
@@ -242,6 +291,96 @@ def test_gpol_blocks_equal_full_matrix(n):
     atoms = random_atoms(np.random.default_rng(n), n)
     params = GBParams()
     assert g_pol(atoms, params) == gpol_full_matrix(atoms, params)
+
+
+def mixed_atoms(rng, n, n_centers, zero_share):
+    """Atoms on ``n_centers`` distinct centres (so many coincide), with
+    mixed-sign charges of magnitude 1e-100 to 1e100, a share of them
+    zero, and Born radii from 1e-3 to 1e3."""
+    pool = rng.uniform(-20, 20, size=(n_centers, 3))
+    centers = pool[rng.integers(0, n_centers, size=n)]
+    charges = rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-100, 100, size=n)
+    charges[rng.random(n) < zero_share] = 0.0
+    radii = 10.0 ** rng.uniform(-3, 3, size=n)
+    return [
+        Atom(center=c, charge=q, born_radius=b)
+        for c, q, b in zip(centers.tolist(), charges.tolist(), radii.tolist())
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    distinct=st.floats(0.0, 1.0),
+    zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+    block=st.sampled_from([1, 7, 100, 4096, 2**16, 2**18]),
+)
+def test_gpol_equals_full_matrix_bit_for_bit(n, seed, distinct, zero_share, block):
+    # the exact sum rounds once, so neither the row blocks (whose size is
+    # drawn here, to cross block edges at every N) nor the halved pair
+    # matrix can move a bit
+    rng = np.random.default_rng(seed)
+    atoms = mixed_atoms(rng, n, max(1, round(distinct * n)), zero_share)
+    params = GBParams()
+    with mock.patch.object(gb_module, "_BLOCK_TERMS", block):
+        got = g_pol(atoms, params)
+    assert bits([got]) == bits([gpol_full_matrix(atoms, params)])
+
+
+def test_gpol_all_zero_charges_sign():
+    # fsum of the all-zero terms is +0.0, so the energy is -tau / 2 * +0.0:
+    # -0.0 for tau > 0 (eps_p < eps_w) and +0.0 for tau < 0
+    atoms = random_atoms(np.random.default_rng(3), 40)
+    for k, atom in enumerate(atoms):
+        atom.charge = -0.0 if k % 2 else 0.0
+    for params, sign in ((GBParams(), -1.0), (GBParams(eps_p=80.0, eps_w=1.0), 1.0)):
+        got = g_pol(atoms, params)
+        assert bits([got]) == bits([math.copysign(0.0, sign)])
+        assert bits([got]) == bits([gpol_full_matrix(atoms, params)])
+
+
+def test_gpol_extreme_exponents_equal_full_matrix():
+    # subnormal pair terms (about 1e-320) beside terms near the largest
+    # float (about 1e307) and exact cancellation between them
+    atoms = [
+        Atom(center=(0, 0, 0), charge=1e-160, born_radius=1.0),
+        Atom(center=(0, 0, 1), charge=-3e-161, born_radius=2.0),
+        Atom(center=(5, 0, 0), charge=3e153, born_radius=1.0),
+        Atom(center=(5, 0, 0), charge=-3e153, born_radius=1.0),
+        Atom(center=(0, 7, 0), charge=1.0, born_radius=0.5),
+    ]
+    params = GBParams()
+    got = g_pol(atoms, params)
+    assert bits([got]) == bits([gpol_full_matrix(atoms, params)])
+    assert got == pytest.approx(-0.5 * params.tau * 1.0 / 0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gpol_non_finite_charge(bad):
+    atoms = random_atoms(np.random.default_rng(4), 5)
+    atoms[3].charge = bad
+    with pytest.raises(InvalidCharge) as info:
+        g_pol(atoms)
+    assert info.value.atom_index == 3
+
+
+@pytest.mark.parametrize(
+    "charges, radius",
+    [
+        ((1e200, -1e200), 1.0),   # pair terms of +-inf
+        ((1e300, 1e300), 1.0),    # every pair term +inf
+        ((1e154, 1e154), 1.0),    # four finite terms of 1e308, whose sum overflows
+        ((1.0, 1.0), 1e-200),     # the radius product underflows: 0 / 0
+    ],
+)
+def test_gpol_non_finite_terms_raise(charges, radius):
+    atoms = [
+        Atom(center=(0, 0, 0), charge=charges[0], born_radius=radius),
+        Atom(center=(0, 0, 0), charge=charges[1], born_radius=radius),
+    ]
+    with pytest.raises(NumericalError, match="not finite"):
+        g_pol(atoms)
 
 
 def test_gpol_memory_is_bounded():

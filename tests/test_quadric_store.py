@@ -79,11 +79,13 @@ def test_minimize_packed_matches_minimize_quadric_on_rank_one_forms():
         rows.append(Quadric.from_plane(plane) + Quadric.from_plane(plane))
         p1s.append(tuple(rng.normal(size=3).tolist()))
         p2s.append(tuple(rng.normal(size=3).tolist()))
-    points, costs = minimize_packed(np.array(rows), np.array(p1s), np.array(p2s))
-    for q, p1, p2, point, cost in zip(rows, p1s, p2s, points, costs):
+    points, costs, at_candidates = minimize_packed(np.array(rows), np.array(p1s), np.array(p2s))
+    for q, p1, p2, point, cost, at in zip(rows, p1s, p2s, points, costs, at_candidates.T):
         want = minimize_quadric(q, p1, p2)
         assert bits(point) == bits(want)
         assert bits([cost]) == bits([q.evaluate(want)])
+        mid = tuple((0.5 * (np.array(p1) + np.array(p2))).tolist())
+        assert bits(at) == bits([q.evaluate(x) for x in (mid, p1, p2, want)])
 
 
 @pytest.mark.parametrize("flatten", [False, True])

@@ -32,6 +32,15 @@ class NonManifoldEdge(ValidationError):
         super().__init__(f"edge {self.edge} has {count} incident triangles (expected 2)")
 
 
+class NonManifoldVertex(ValidationError):
+    def __init__(self, vertex, fans):
+        self.vertex = vertex
+        self.fans = fans
+        super().__init__(
+            f"vertex {vertex} is a pinch: its triangles form {fans} separate fans"
+        )
+
+
 class DuplicateTriangle(ValidationError):
     def __init__(self, vertices):
         self.vertices = tuple(vertices)
@@ -113,6 +122,19 @@ class InvalidRadius(NumericalError):
     def __init__(self, atom_index, value):
         self.atom_index = atom_index
         super().__init__(f"atom {atom_index} has non-positive Born radius {value!r}")
+
+
+class InvalidAtom(InputError, ValueError):
+    """An atom's centre is not finite (a ``ValueError`` too, as
+    ``InvalidConfig`` is)."""
+
+
+class RadiiMismatch(InputError, ValueError):
+    """Born radii passed to ``g_pol`` do not number one per atom (a
+    ``ValueError`` too, as ``InvalidConfig`` is)."""
+
+    def __init__(self, n_radii, n_atoms):
+        super().__init__(f"{n_radii} radii given for {n_atoms} atoms")
 
 
 class InvalidCharge(InputError):

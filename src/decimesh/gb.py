@@ -18,7 +18,9 @@ never applied implicitly.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from threading import Thread
 from typing import Optional
 
 import numpy as np
@@ -26,11 +28,13 @@ import numpy as np
 from .errors import (
     AtomTooCloseToSurface,
     DegenerateTriangle,
+    InvalidAtom,
     InvalidCharge,
     InvalidConfig,
     InvalidRadius,
     NonPositiveIntegral,
     NumericalError,
+    RadiiMismatch,
 )
 from .geometry import EPS_AREA
 from .mesh import TriangleMesh
@@ -61,7 +65,7 @@ class Atom:
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float).reshape(3)
         if not np.isfinite(self.center).all():
-            raise ValueError("atom center must be finite")
+            raise InvalidAtom(f"atom center must be finite, got {self.center.tolist()}")
 
 
 @dataclass(frozen=True)
@@ -177,10 +181,14 @@ def born_radii(mesh: TriangleMesh, atoms, rule=CENTROID_1PT, eps_dist=EPS_DIST):
     1/R. Requires the mesh closed and outward-oriented and every atom
     strictly inside.
 
-    Works on the node and normal coordinates as (3, K) rows, one atom
-    at a time. Both dot products add their three products in the fixed
-    order ``(x + z) + y``, the order ``np.einsum("kj,kj->k")`` uses on
-    numpy 2.4, and the flux terms are summed by ``ndarray.sum``.
+    Works on blocks of atoms against the node and normal coordinates as
+    (3, K) rows: a (B, K) array per block with B * K about 2**15
+    node-atom pairs, the blocks shared out over the cores. Both dot
+    products add their three products in the fixed order ``(x + z) + y``,
+    the order ``np.einsum("kj,kj->k")`` uses on numpy 2.4, and each row
+    of flux terms is summed by ``ndarray.sum(axis=1)``, which on numpy
+    2.4 gives the bits of the 1-D sum of that row. So each radius is its
+    own row sum, the same bits on any block size or core count.
 
     Fills each atom's ``born_radius`` slot and returns the radii array.
     Raises ``AtomTooCloseToSurface`` for the first atom (in list order)
@@ -188,39 +196,122 @@ def born_radii(mesh: TriangleMesh, atoms, rule=CENTROID_1PT, eps_dist=EPS_DIST):
     (listing the atom indices) if any integral is non-positive.
     """
     nodes, weights, normals = mesh_quadrature(mesh, rule)
-    nx, ny, nz = np.ascontiguousarray(nodes.T)
-    mx, my, mz = np.ascontiguousarray(normals.T)
-    inv_4pi = 1.0 / (4.0 * math.pi)
-    radii = np.empty(len(atoms))
-    bad = []
+    n = len(atoms)
+    if n == 0:
+        return np.empty(0)
+    nodes = np.ascontiguousarray(nodes.T)
+    normals = np.ascontiguousarray(normals.T)
+    centers = np.array([a.center for a in atoms])
+    rows = min(n, max(1, _BORN_BLOCK_PAIRS // len(weights)))
+    bounds = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+    sums = np.empty(n)
+    # the least squared node distance of each atom in a block that has
+    # one within eps_dist; +inf elsewhere
+    near = np.full(n, math.inf)
     eps2 = eps_dist * eps_dist
-    for i, atom in enumerate(atoms):
-        cx, cy, cz = atom.center.tolist()
-        dx = nx - cx
-        dy = ny - cy
-        dz = nz - cz
-        r2 = (dx * dx + dz * dz) + dy * dy
-        if (r2 < eps2).any():
-            raise AtomTooCloseToSurface(i, math.sqrt(float(r2.min())))
-        flux = ((dx * mx + dz * mz) + dy * my) * weights / (r2 * r2)
-        integral = inv_4pi * float(flux.sum())
-        if integral <= 0.0:
-            bad.append(i)
-            radii[i] = math.nan
-        else:
-            radii[i] = 1.0 / integral
-    if bad:
-        raise NonPositiveIntegral(bad)
+
+    def work(blocks, scratch):
+        for k in blocks:
+            lo, hi = bounds[k]
+            _flux_sums(nodes, normals, weights, centers[lo:hi], eps2,
+                       scratch[:, :hi - lo], sums[lo:hi], near[lo:hi])
+
+    _share_out(work, len(bounds), lambda: np.empty((5, rows, len(weights))))
+    too_close = np.flatnonzero(near < eps2)
+    if len(too_close):
+        i = int(too_close[0])
+        raise AtomTooCloseToSurface(i, math.sqrt(float(near[i])))
+    integral = (1.0 / (4.0 * math.pi)) * sums
+    bad = integral <= 0.0
+    if bad.any():
+        raise NonPositiveIntegral(np.flatnonzero(bad).tolist())
+    radii = 1.0 / integral
     for atom, r in zip(atoms, radii.tolist()):
         atom.born_radius = r
     return radii
 
 
-# Pair terms per row block of g_pol. Blocks this small hold its scratch
-# memory near 5 MB and ran faster than 2**18 at 10^4 atoms; any size up
-# to 2**26 keeps each block's bin sums of mantissa halves below 2**53,
-# so exact in float64 (and the int64 totals for up to 2**36 terms a bin).
-_BLOCK_TERMS = 2**16
+def _flux_sums(nodes, normals, weights, centers, eps2, scratch, sums, near):
+    """The flux sums of one block of atoms into ``sums``, in the five
+    (B, K) arrays of ``scratch``. If a node lies within sqrt(eps2) of an
+    atom of the block, the block's least squared distances go to
+    ``near`` instead and no sum is formed."""
+    dx, dy, dz, r2, t = scratch
+    for d, x, c in zip((dx, dy, dz), nodes, centers.T):
+        np.subtract(x, c[:, None], out=d)
+    # r2 = (dx * dx + dz * dz) + dy * dy
+    np.multiply(dx, dx, out=r2)
+    r2 += np.multiply(dz, dz, out=t)
+    r2 += np.multiply(dy, dy, out=t)
+    # with finite nodes and centres r2 holds no NaN, so its least
+    # element tells whether any is below eps2
+    if r2.min() < eps2:
+        near[:] = r2.min(axis=1)
+        return
+    mx, my, mz = normals
+    # flux = ((dx * mx + dz * mz) + dy * my) * weights / (r2 * r2)
+    dx *= mx
+    dx += np.multiply(dz, mz, out=t)
+    dx += np.multiply(dy, my, out=t)
+    dx *= weights
+    r2 *= r2
+    dx /= r2
+    dx.sum(axis=1, out=sums)
+
+
+# Node-atom pairs per block of born_radii.
+_BORN_BLOCK_PAIRS = 2**15
+
+# Pair terms per row block of g_pol. A worker's scratch for blocks of
+# this size is five arrays of 2**15 (1.3 MB), so two workers hold what
+# one block of 2**16 terms did; any size up to 2**26 keeps each block's
+# bin sums of mantissa halves below 2**53, so exact in float64 (and the
+# int64 totals for up to 2**36 terms a bin).
+_BLOCK_TERMS = 2**15
+
+
+def _cores():
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _share_out(work, n_blocks, scratch):
+    """Run ``work(blocks, scratch())`` on min(cores, n_blocks) workers
+    that draw block indices from one shared iterator over
+    ``range(n_blocks)``, and return their results. Each draw is one
+    ``next`` on a range iterator, which holds the interpreter lock
+    throughout, so every block is drawn once. The calling thread makes
+    every worker's scratch arrays, so they come from its heap and not
+    from one per thread, and is itself one of the workers: one block or
+    one core runs inline. Every thread started is joined before the call
+    returns, and a worker's error is raised on the calling thread."""
+    blocks = iter(range(n_blocks))
+    n_workers = min(_cores(), n_blocks)
+    results = [None] * n_workers
+    errors = []
+
+    def run(i, arrays):
+        try:
+            results[i] = work(blocks, arrays)
+        except BaseException as exc:  # raised again below
+            errors.append(exc)
+
+    threads = [Thread(target=run, args=(i, scratch())) for i in range(1, n_workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        results[0] = work(blocks, scratch())
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 # frexp exponents run from -1073 (smallest subnormal) to 1024; bin k holds
 # exponent k - _EXP_OFFSET, and integer mantissas carry 53 bits.
 _EXP_OFFSET = 1074
@@ -228,32 +319,74 @@ _N_BINS = _EXP_OFFSET + 1025
 _UNIT = 1 << (_EXP_OFFSET + 53)
 
 
-def _exact_bins(terms):
+def _exact_bins(terms, mant, high, exp):
     """Exact sum of float ``terms`` as (2, _N_BINS) int64 bins (high,
     low) by exponent: the sum is ``sum((high[k] * 2**26 + low[k]) *
     2**k) / _UNIT``. Each 53-bit integer mantissa is split into a 27-bit
     and a 26-bit half, and ``np.bincount`` adds the halves per exponent
-    in float64, exactly for up to 2**26 terms. Raises ``NumericalError``
-    if a term is not finite."""
-    m, e = np.frexp(terms)
-    high = np.trunc(m * 2.0**27)
-    low = m * 2.0**53 - high * 2.0**26
-    e += _EXP_OFFSET
-    sums = np.array([np.bincount(e, high, _N_BINS), np.bincount(e, low, _N_BINS)])
+    in float64, exactly for up to 2**26 terms. Works in the float arrays
+    ``mant`` and ``high`` and the intp array ``exp``, each at least as
+    long as ``terms``. Raises ``NumericalError`` if a term is not
+    finite."""
+    k = len(terms)
+    mant, high, exp = mant[:k], high[:k], exp[:k]
+    np.frexp(terms, out=(mant, exp))
+    mant *= 2.0**27
+    np.trunc(mant, out=high)
+    # low = m * 2**53 - high * 2**26, exactly: scaling by a power of two
+    # and taking a number less its truncation are exact
+    mant -= high
+    mant *= 2.0**26
+    exp += _EXP_OFFSET
+    sums = np.array([np.bincount(exp, high, _N_BINS), np.bincount(exp, mant, _N_BINS)])
     if not np.isfinite(sums).all():
         raise NumericalError("a G_pol pair term is not finite")
     return sums.astype(np.int64)
 
 
-def _pair_terms(centers, r, charges, rows, cols):
+def _pair_terms(coords, r, charges, rows, cols, scratch):
     """The screened pair terms q_i q_j / f_GB(i, j) of a block of rows
-    and columns of the pair matrix; a function of its own, so that its
-    scratch arrays are freed before the terms are summed."""
-    diff = centers[rows, None, :] - centers[None, cols, :]
-    r2 = np.einsum("ijk,ijk->ij", diff, diff)
-    rr = np.outer(r[rows], r[cols])
-    denom = np.sqrt(r2 + rr * np.exp(-r2 / (4.0 * rr)))
-    return np.outer(charges[rows], charges[cols]) / denom
+    and columns of the pair matrix, from the atom centres as (3, N)
+    coordinate rows. Works in the four flat float arrays of
+    ``scratch``; the (rows, cols) terms returned are a view of the
+    third."""
+    shape = (rows.stop - rows.start, cols.stop - cols.start)
+    dx, dy, dz, rr = (a[:shape[0] * shape[1]].reshape(shape) for a in scratch)
+    for d, x in zip((dx, dy, dz), coords):
+        np.subtract.outer(x[rows], x[cols], out=d)
+    # r2 = (dx * dx + dz * dz) + dy * dy, the order in which
+    # np.einsum("ijk,ijk->ij") adds the three squares on numpy 2.4
+    r2 = np.multiply(dx, dx, out=dx)
+    r2 += np.multiply(dz, dz, out=dz)
+    r2 += np.multiply(dy, dy, out=dy)
+    np.multiply.outer(r[rows], r[cols], out=rr)
+    # denom = sqrt(r2 + rr * exp(-r2 / (4 rr)))
+    denom = np.negative(r2, out=dy)
+    denom /= np.multiply(rr, 4.0, out=dz)
+    np.exp(denom, out=denom)
+    denom *= rr
+    denom += r2
+    np.sqrt(denom, out=denom)
+    terms = np.multiply.outer(charges[rows], charges[cols], out=dz)
+    terms /= denom
+    return terms
+
+
+def _block_bins(coords, r, charges, start, stop, scratch, exp):
+    """(diagonal, strict upper triangle) x (high, low) exponent bins of
+    the pair terms of rows ``start:stop`` and columns ``start:``, in the
+    four flat float arrays of ``scratch`` and the intp array ``exp``."""
+    n = len(r)
+    # a non-finite term raises NumericalError from _exact_bins instead
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        terms = _pair_terms(coords, r, charges, slice(start, stop), slice(start, n), scratch)
+        mant, high = scratch[0], scratch[1]
+        b = stop - start
+        square = terms[:, :b]
+        diag = _exact_bins(square.diagonal(), mant, high, exp)
+        # each pair below the diagonal repeats one above it
+        np.copyto(square, 0.0, where=np.tri(b, dtype=bool))
+        return np.array([diag, _exact_bins(terms.ravel(), mant, high, exp)])
 
 
 def g_pol(atoms, params: GBParams = GBParams(), radii=None) -> float:
@@ -264,22 +397,25 @@ def g_pol(atoms, params: GBParams = GBParams(), radii=None) -> float:
 
     Each pair term is bitwise symmetric in i and j (the difference
     negates exactly, the products commute), so only the terms with
-    j >= i are evaluated, in row blocks of about 2**16. The diagonal and
-    the strict upper triangle are summed exactly into per-exponent
-    integer bins, and ``diag + 2 * upper`` is rounded once: the result
-    is the correctly rounded sum of all N^2 terms, as ``math.fsum`` of
-    them gives, independent of atom order and blocking. An exactly zero
-    sum is +0.0, so the energy is -0.0 when tau > 0.
+    j >= i are evaluated, in row blocks of about 2**15 shared out over
+    the cores. The diagonal and the strict upper triangle are summed
+    exactly into per-exponent integer bins, the blocks' bins are added
+    as integers in any order, and ``diag + 2 * upper`` is rounded once:
+    the result is the correctly rounded sum of all N^2 terms, as
+    ``math.fsum`` of them gives, independent of atom order, blocking and
+    core count. An exactly zero sum is +0.0, so the energy is -0.0 when
+    tau > 0.
 
-    Raises ``InvalidRadius`` or ``InvalidCharge`` (naming the first bad
-    atom) before any work, and ``NumericalError`` if a pair term or the
+    Raises ``RadiiMismatch`` if ``radii`` has the wrong length, and
+    ``InvalidRadius`` or ``InvalidCharge`` (naming the first bad atom),
+    all before any work, and ``NumericalError`` if a pair term or the
     energy is not finite.
     """
     if radii is None:
         radii = [a.born_radius for a in atoms]
     r = np.asarray(radii, dtype=float).reshape(-1)
     if len(r) != len(atoms):
-        raise ValueError("radii length does not match atoms")
+        raise RadiiMismatch(len(r), len(atoms))
     for i, v in enumerate(r.tolist()):
         if not math.isfinite(v) or v <= 0.0:
             raise InvalidRadius(i, v)
@@ -293,23 +429,24 @@ def g_pol(atoms, params: GBParams = GBParams(), radii=None) -> float:
     tau = params.tau
     if tau == 0.0:
         return 0.0
-    centers = np.array([a.center for a in atoms])
-    # (diagonal, strict upper triangle) x (high, low) exponent bins
-    bins = np.zeros((2, 2, _N_BINS), dtype=np.int64)
-    start = 0
-    # a non-finite term raises NumericalError from _exact_bins instead
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while start < n:
-            rows = slice(start, start + max(1, _BLOCK_TERMS // (n - start)))
-            cols = slice(start, n)
-            terms = _pair_terms(centers, r, charges, rows, cols)
-            b = len(terms)
-            square = terms[:, :b]
-            bins[0] += _exact_bins(square.diagonal())
-            # each pair below the diagonal repeats one above it
-            np.copyto(square, 0.0, where=np.tri(b, dtype=bool))
-            bins[1] += _exact_bins(terms.ravel())
-            start += b
+    coords = np.array([a.center for a in atoms]).T.copy()
+    starts = [0]
+    while starts[-1] < n:
+        start = starts[-1]
+        starts.append(min(n, start + max(1, _BLOCK_TERMS // (n - start))))
+
+    size = max((stop - start) * (n - start) for start, stop in zip(starts, starts[1:]))
+
+    def work(blocks, scratch):
+        bins = np.zeros((2, 2, _N_BINS), dtype=np.int64)
+        for k in blocks:
+            bins += _block_bins(coords, r, charges, starts[k], starts[k + 1], *scratch)
+        return bins
+
+    def scratch():
+        return np.empty((4, size)), np.empty(size, dtype=np.intp)
+
+    bins = sum(_share_out(work, len(starts) - 1, scratch))
     used = np.flatnonzero(bins.any(axis=(0, 1)))
     (dh, dl), (uh, ul) = bins[:, :, used].tolist()
     total = 0

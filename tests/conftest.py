@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from decimesh import Atom
+from decimesh import Atom, TriangleMesh
 from decimesh.shapes import icosphere, octahedron, tetrahedron
 
 
@@ -60,6 +60,27 @@ def incident_rows(mesh, a, b):
     :func:`star_rows` lists them."""
     tris = mesh.incident_triangles(a) | mesh.incident_triangles(b)
     return sorted(_cyclic(mesh.triangle(t)) for t in tris)
+
+
+def pinched_spheres(level=1):
+    """Two icospheres glued at one vertex (a pinch): the second is the
+    first reflected through its vertex of largest x, with its triangles
+    reversed to keep them outward. Every edge has two triangles and the
+    orientation is consistent, but the glued vertex has two fans. At
+    level 1: 83 vertices, 160 faces, Euler characteristic 3. Returns
+    (mesh, the glued vertex)."""
+    sphere = icosphere(level)
+    verts = sphere.vertices
+    tris = sphere.live_triangle_array()
+    k = len(verts)
+    top = int(np.argmax(verts[:, 0]))
+    # the reflected copy's vertices follow the first's, less the shared one
+    ids = np.arange(k, 2 * k)
+    ids[top + 1:] -= 1
+    ids[top] = top
+    mirrored = np.delete(2.0 * verts[top] - verts, top, axis=0)
+    mesh = TriangleMesh(np.vstack([verts, mirrored]), np.vstack([tris, ids[tris[:, ::-1]]]))
+    return mesh, top
 
 
 def random_triangle(rng, scale=1.0):

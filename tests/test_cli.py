@@ -8,7 +8,7 @@ from decimesh.errors import InvalidConfig
 from decimesh.gb import Atom
 from decimesh.shapes import icosphere, tetrahedron
 
-from conftest import synthetic_molecule
+from conftest import pinched_spheres, synthetic_molecule
 
 
 @pytest.fixture
@@ -115,6 +115,20 @@ def test_decimate_bad_setting_exits_1(tmp_path, capsys, flag, value):
     err = capsys.readouterr().err
     assert err.startswith("error: InvalidConfig: ")
     assert "Traceback" not in err
+    assert not out_path.exists()
+
+
+def test_decimate_pinched_mesh_exits_1(tmp_path, capsys):
+    mesh, top = pinched_spheres()
+    mesh_path = tmp_path / "pinched.off"
+    save_mesh(mesh, mesh_path)
+    out_path = tmp_path / "out.off"
+    argv = ["decimate", "--mesh", str(mesh_path), "--cost", "qe",
+            "--target-faces", "100", "--out", str(out_path)]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: NonManifoldVertex: ")
+    assert f"vertex {top}" in err
     assert not out_path.exists()
 
 

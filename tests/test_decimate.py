@@ -14,6 +14,7 @@ from conftest import (
     assert_atom_sums_equal_grid,
     assert_near_oracle,
     bench_checks,
+    pinched_spheres,
     synthetic_molecule,
 )
 
@@ -111,6 +112,15 @@ def test_invalid_input_rejected(tetra):
     broken = TriangleMesh(tetra.vertices, list(tetra.live_triangles())[:3])
     with pytest.raises(InvalidInput):
         decimate(broken, DecimationConfig(cost_kind="qe", target_faces=4))
+
+
+@pytest.mark.parametrize("kind", ["qe", "vol"])
+def test_pinched_input_rejected(kind):
+    # qe and vol score edges without a star walk, so only validation
+    # keeps them off the glued vertex
+    mesh, top = pinched_spheres()
+    with pytest.raises(InvalidInput, match=f"vertex {top} is a pinch"):
+        Decimator(mesh, DecimationConfig(cost_kind=kind, target_faces=100))
 
 
 def test_queue_exhausts_on_torus():

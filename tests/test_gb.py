@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -24,10 +26,14 @@ from decimesh import (
 )
 from decimesh.errors import (
     AtomTooCloseToSurface,
+    DecimeshError,
+    InputError,
+    InvalidAtom,
     InvalidCharge,
     InvalidRadius,
     NonPositiveIntegral,
     NumericalError,
+    RadiiMismatch,
 )
 from decimesh.shapes import icosphere
 
@@ -177,6 +183,193 @@ def test_born_radii_match_fsum_reference(rule):
     got = born_radii(mesh, atoms, rule=rule)
     want = born_radii_fsum(mesh, atoms, rule)
     assert np.abs(got / want - 1.0).max() <= 1e-14
+
+
+def born_radii_per_atom(mesh, atoms, rule=CENTROID_1PT):
+    """The one-atom-per-pass loop that ``born_radii`` replaced: the
+    same per-element order on (K,) rows, summed by the 1-D ``sum``."""
+    nodes, weights, normals = mesh_quadrature(mesh, rule)
+    nx, ny, nz = np.ascontiguousarray(nodes.T)
+    mx, my, mz = np.ascontiguousarray(normals.T)
+    radii = []
+    for atom in atoms:
+        cx, cy, cz = atom.center.tolist()
+        dx, dy, dz = nx - cx, ny - cy, nz - cz
+        r2 = (dx * dx + dz * dz) + dy * dy
+        flux = ((dx * mx + dz * mz) + dy * my) * weights / (r2 * r2)
+        radii.append(1.0 / ((1.0 / (4.0 * math.pi)) * float(flux.sum())))
+    return radii
+
+
+def cores(n):
+    """Patch the core count the energetics kernels share work over."""
+    return mock.patch.object(gb_module, "_cores", lambda: n)
+
+
+def blocks(born_pairs, pair_terms):
+    """Patch the block sizes of ``born_radii`` and ``g_pol``."""
+    return mock.patch.multiple(
+        gb_module, _BORN_BLOCK_PAIRS=born_pairs, _BLOCK_TERMS=pair_terms
+    )
+
+
+_SPHERES = {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    level=st.integers(0, 3),
+    rule=st.sampled_from([CENTROID_1PT, SYMMETRIC_3PT]),
+    n=st.integers(1, 70),
+    seed=st.integers(0, 2**32 - 1),
+    workers=st.sampled_from([1, 2, 3]),
+    born_pairs=st.sampled_from([1, 100, 2**12, 2**15, 2**20]),
+    pair_terms=st.sampled_from([1, 7, 100, 2**15]),
+)
+def test_blocked_energetics_equal_oracles_bit_for_bit(
+    level, rule, n, seed, workers, born_pairs, pair_terms
+):
+    # K runs from 20 to 3,840 nodes and the blocks from one atom (or one
+    # pair row) to the whole set, on 1 to 3 workers: every radius is its
+    # own row sum and G_pol an exact sum, so no bit may move
+    if level not in _SPHERES:
+        _SPHERES[level] = icosphere(level, radius=10.0)
+    mesh = _SPHERES[level]
+    rng = np.random.default_rng(seed)
+    directions = rng.normal(size=(n, 3))
+    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    centers = directions * 6.0 * rng.random((n, 1)) ** (1.0 / 3.0)
+    atoms = [Atom(center=c, charge=q) for c, q in zip(centers, rng.uniform(-2, 2, n))]
+    with cores(workers), blocks(born_pairs, pair_terms):
+        radii = born_radii(mesh, atoms, rule=rule)
+        energy = g_pol(atoms)
+    assert bits(radii) == bits(born_radii_per_atom(mesh, atoms, rule))
+    assert bits([a.born_radius for a in atoms]) == bits(radii)
+    assert bits([energy]) == bits([gpol_full_matrix(atoms, GBParams())])
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_atom_too_close_in_many_blocks_names_first(workers):
+    # one atom per block: the later blocks' bad atoms may be seen first
+    mesh = icosphere(2)
+    nodes, _, _ = mesh_quadrature(mesh, CENTROID_1PT)
+    unit = nodes / np.linalg.norm(nodes, axis=1)[:, None]
+    atoms = [Atom(center=(0, 0, 0.1 * k), charge=1.0) for k in range(8)]
+    for i, node, gap in ((3, 5, 1e-8), (5, 7, 1e-9), (7, 9, 1e-10)):
+        atoms[i] = Atom(center=nodes[node] - gap * unit[node], charge=1.0)
+    atoms[1] = Atom(center=(5, 0, 0), charge=1.0)  # outside: reported only if none is too close
+    with cores(workers), blocks(1, 2**15):
+        with pytest.raises(AtomTooCloseToSurface) as info:
+            born_radii(mesh, atoms)
+    assert info.value.atom_index == 3
+    assert info.value.distance == pytest.approx(1e-8, rel=1e-6)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_non_positive_integrals_listed_in_order(workers):
+    mesh = icosphere(2)
+    atoms = [Atom(center=(0, 0, 0.05 * k), charge=1.0) for k in range(12)]
+    for i in (2, 5, 6, 11):
+        atoms[i] = Atom(center=(3 + i, 0, 0), charge=1.0)
+    with cores(workers), blocks(80, 2**15):  # one atom per block
+        with pytest.raises(NonPositiveIntegral) as info:
+            born_radii(mesh, atoms)
+    assert info.value.atom_indices == [2, 5, 6, 11]
+
+
+def test_energetics_leave_no_thread_behind():
+    mesh, atoms = synthetic_molecule(n_atoms=60, level=3, radius=10.0, seed=5)
+    before = threading.active_count()
+    with cores(3), blocks(1280, 100):
+        radii = born_radii(mesh, atoms)
+        assert threading.active_count() == before
+        g_pol(atoms, radii=radii)
+        assert threading.active_count() == before
+        # a worker's error is raised on the calling thread, and the pool
+        # is still joined
+        atoms[40].born_radius = atoms[41].born_radius = 1e-200
+        with pytest.raises(NumericalError):
+            g_pol(atoms)
+    assert threading.active_count() == before
+
+
+def test_worker_error_is_raised_on_calling_thread():
+    def work(blocks, scratch):
+        for _ in blocks:
+            pass
+        if threading.current_thread() is not threading.main_thread():
+            raise NumericalError("from a worker")
+        return scratch
+
+    before = threading.active_count()
+    with cores(3), pytest.raises(NumericalError, match="from a worker"):
+        gb_module._share_out(work, 10, list)
+    assert threading.active_count() == before
+
+
+def test_workers_draw_every_block_once():
+    # more workers than cores, one-row blocks and a thread switch every
+    # microsecond: a block lost or drawn twice would move a radius (left
+    # unset) or G_pol (counted twice)
+    mesh, atoms = synthetic_molecule(n_atoms=40, level=2, radius=10.0, seed=9)
+    with cores(1):
+        radii = born_radii(mesh, atoms)
+        energy = g_pol(atoms)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with cores(8), blocks(1, 1):
+            for _ in range(5):
+                assert bits(born_radii(mesh, atoms)) == bits(radii)
+                assert bits([g_pol(atoms)]) == bits([energy])
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_one_block_or_one_core_runs_inline():
+    mesh, atoms = synthetic_molecule(n_atoms=20, level=3, radius=10.0, seed=5)
+    no_pool = mock.patch.object(gb_module, "Thread", side_effect=AssertionError)
+    with no_pool:
+        with cores(1), blocks(1, 1):
+            radii = born_radii(mesh, atoms)
+            energy = g_pol(atoms)
+        # 20 atoms x 1,280 nodes and 210 pair terms: one block each
+        with cores(2):
+            assert bits(born_radii(mesh, atoms)) == bits(radii)
+            assert bits([g_pol(atoms)]) == bits([energy])
+
+
+def test_born_radii_memory_is_bounded():
+    # the (atoms, nodes) flux matrix would take 20 MB here; the blocks
+    # hold about 1.3 MB of scratch per worker beside the quadrature
+    mesh, atoms = synthetic_molecule(n_atoms=500, level=4, radius=10.0, seed=3)
+    with cores(2):
+        tracemalloc.start()
+        try:
+            born_radii(mesh, atoms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 5e6
+
+
+def test_atom_non_finite_center_is_input_error():
+    with pytest.raises(InvalidAtom) as info:
+        Atom(center=(math.nan, 0, 0), charge=1.0)
+    assert isinstance(info.value, InputError)
+    assert isinstance(info.value, ValueError)
+    with pytest.raises(DecimeshError):
+        Atom(center=(0, math.inf, 0), charge=1.0)
+
+
+def test_gpol_radii_length_mismatch_is_input_error():
+    atoms = [Atom(center=(0, 0, 0), charge=1.0)]
+    with pytest.raises(RadiiMismatch, match="2 radii given for 1 atoms") as info:
+        g_pol(atoms, radii=[1.0, 2.0])
+    assert isinstance(info.value, InputError)
+    assert isinstance(info.value, ValueError)
+    with pytest.raises(DecimeshError):
+        g_pol(atoms, radii=[])
 
 
 def test_quadrature_rules_converge_together():
@@ -385,7 +578,8 @@ def test_gpol_non_finite_terms_raise(charges, radius):
 
 def test_gpol_memory_is_bounded():
     # the one-piece pair matrix peaks near 200 MB here; the row blocks
-    # hold the peak near 23 MB at any atom count
+    # hold the peak near 1.6 MB per worker (about 3 MB on two cores) at
+    # any atom count
     atoms = random_atoms(np.random.default_rng(1500), 1500)
     tracemalloc.start()
     try:

@@ -20,14 +20,16 @@ from decimesh.errors import (
     DuplicateTriangle,
     FlippedTriangleWarning,
     NonManifoldEdge,
+    NonManifoldVertex,
     NotAnEdge,
+    StarNotDisk,
     UnreferencedVertexWarning,
     ValidationError,
 )
 from decimesh.geometry import is_well_centered, triangle_quality
 from decimesh.shapes import icosahedron, icosphere, octahedron, tetrahedron, uv_sphere
 
-from conftest import incident_rows, star_rows
+from conftest import incident_rows, pinched_spheres, star_rows
 
 
 def bipyramid():
@@ -206,12 +208,58 @@ def test_glued_tetrahedra_equator_collapse_is_duplicate():
     assert check.reason == "duplicate_triangle"
 
 
+def test_pinched_vertex_fails_validation():
+    # every edge has two triangles and the orientation is consistent, so
+    # only the fans around the glued vertex tell the pinch apart
+    mesh, top = pinched_spheres()
+    assert (mesh.n_vertices, mesh.n_faces) == (83, 160)
+    with pytest.raises(NonManifoldVertex) as info:
+        validate(mesh)
+    assert (info.value.vertex, info.value.fans) == (top, 2)
+    assert f"vertex {top} is a pinch" in str(info.value)
+    # the star walk at the pinch fails too
+    with pytest.raises(StarNotDisk):
+        edge_star(mesh, top, next(iter(mesh.vertex_neighbors(top))))
+
+
+@pytest.mark.parametrize("bound", [2**20, 2**62])
+def test_sort_keys_packed_and_argsort_paths_agree(bound):
+    # small bounds pack the index into the key; 2**62 leaves no room
+    # for it, so the keys go through argsort
+    from decimesh.mesh import _sort_keys
+
+    keys = np.random.default_rng(2).permutation(2**20)[:1000]
+    got, index = _sort_keys(keys, bound)
+    assert np.array_equal(got, np.sort(keys))
+    assert np.array_equal(keys[index], got)
+
+
+def test_validate_names_lowest_pinched_vertex():
+    # a third sphere glued at another vertex of the first: two pinches
+    mesh, top = pinched_spheres()
+    verts = mesh.vertices[:42]
+    tris = mesh.live_triangle_array()[:80]
+    low = int(np.argmin(verts[:, 0]))
+    ids = np.arange(83, 83 + 42)
+    ids[low + 1:] -= 1
+    ids[low] = low
+    third = np.delete(2.0 * verts[low] - verts, low, axis=0)
+    glued = TriangleMesh(
+        np.vstack([mesh.vertices, third]),
+        np.vstack([mesh.live_triangle_array(), ids[tris[:, ::-1]]]),
+    )
+    with pytest.raises(NonManifoldVertex) as info:
+        validate(glued)
+    assert info.value.vertex == min(top, low)
+
+
 def test_link_condition_rejection():
-    # pinch: two octahedra sharing a vertex would be caught earlier, so
-    # exercise the link check with an extra common neighbor instead:
-    # collapse across the equator square of an octahedron is not an edge,
-    # but a long chain on an icosphere gives common-neighbor violations
-    # only via duplicates; glue case covered above. Here: non-edge.
+    # a pinch (two closed surfaces sharing a vertex) fails validation
+    # (test_pinched_vertex_fails_validation), so exercise the link check
+    # with an extra common neighbor instead: collapse across the equator
+    # square of an octahedron is not an edge, but a long chain on an
+    # icosphere gives common-neighbor violations only via duplicates;
+    # glue case covered above. Here: non-edge.
     octa = octahedron()
     assert can_collapse(octa, 0, 1).reason == "not_an_edge"
 

@@ -42,7 +42,7 @@ from .gb import (
     surface_area,
 )
 from .geometry import TriangleMetrics
-from .grid import UniformGrid, grid_build, grid_query_edge
+from .grid import UniformGrid, grid_build
 from .io import (
     load_atoms,
     load_mesh,
@@ -74,7 +74,6 @@ from .quadrics import (
     Quadric,
     f_qe,
     minimize_quadric,
-    qe_optimal_placement,
     vertex_quadric,
 )
 from .report import ComparisonReport, HarnessParams, ReportRow, resolve_targets, run_compare
@@ -121,7 +120,6 @@ __all__ = [
     "f_vol",
     "g_pol",
     "grid_build",
-    "grid_query_edge",
     "load_atoms",
     "load_mesh",
     "mesh_quadrature",
@@ -131,7 +129,6 @@ __all__ = [
     "parse_obj",
     "parse_off",
     "placement_for",
-    "qe_optimal_placement",
     "quadrature_rule",
     "quality_summary",
     "resolve_targets",

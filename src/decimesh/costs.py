@@ -1,7 +1,9 @@
 """Edge-collapse cost functions and their placement policies.
 
-Four costs are provided, all pure functions of an edge star, a candidate
-placement and (for the atom-aware cost) nearby atom centers:
+Four costs are provided, each as a plain function of an edge star, a
+candidate placement and (for the atom-aware cost) nearby atom centers.
+:func:`placement_for` scores its candidates with them, and the tests
+and benchmark checks hold the Decimator's batched engine below to them:
 
 - ``qe``: combined vertex quadrics (squared plane distances).
 - ``vol``: squared signed tetrahedron volumes over the incident
@@ -32,6 +34,7 @@ from .quadrics import (
     _PACK_I,
     _PACK_J,
     Quadric,
+    f_qe,
     minimize_quadric,
     vertex_quadric,
 )
@@ -110,47 +113,21 @@ def ring_qualities(star: EdgeStar):
     return [triangle_quality(a, b, c) for (a, b, c) in star.ring_triangles_before()]
 
 
-class _QualityChangeEvaluator:
-    """Per-edge evaluator of the summed ring-quality change.
-
-    Precomputes the before-collapse qualities once; evaluations at the
-    original endpoint positions skip the ring whose triangles are
-    unchanged (their terms are exactly zero)."""
-
-    def __init__(self, star: EdgeStar):
-        self.star = star
-        up = star.upper_pos
-        lo = star.lower_pos
-        p1, p2 = star.p1, star.p2
-        self.before_upper = [
-            triangle_quality(p2, up[i], up[i + 1]) for i in range(len(up) - 1)
-        ]
-        self.before_lower = [
-            triangle_quality(p1, lo[i], lo[i + 1]) for i in range(len(lo) - 1)
-        ]
-
-    def __call__(self, vbar):
-        star = self.star
-        total = 0.0
-        if vbar != star.p2:
-            up = star.upper_pos
-            for i, qb in enumerate(self.before_upper):
-                total += triangle_quality(vbar, up[i], up[i + 1]) - qb
-        if vbar != star.p1:
-            lo = star.lower_pos
-            for i, qb in enumerate(self.before_lower):
-                total += triangle_quality(vbar, lo[i], lo[i + 1]) - qb
-        return total
-
-
 def f_pb(star: EdgeStar, vbar) -> float:
     """Summed quality change of the non-adjacent star triangles.
 
     Negative values mean the collapse improves element quality. Raises
     ``DegenerateTriangle`` when the placement flattens any surviving
-    triangle; callers treat that as an infeasible candidate.
+    triangle; callers treat that as an infeasible candidate. A ring whose
+    apex already sits at vbar keeps its triangles, so its exactly-zero
+    terms are skipped.
     """
-    return _QualityChangeEvaluator(star)(tuple(vbar))
+    vbar = tuple(vbar)
+    total = 0.0
+    for (apex, u, w), before in zip(star.ring_triangles_before(), ring_qualities(star)):
+        if apex != vbar:
+            total += triangle_quality(vbar, u, w) - before
+    return total
 
 
 # --- the batched candidate engine -------------------------------------------
@@ -287,8 +264,8 @@ def gb_placements(p1, p2, analytic, quadric_costs, sums, lam):
     ``quadric_costs`` picks the first term: for gb_qe, the (4, E) costs
     of those sums at the four candidates, as ``minimize_packed`` returns
     them (infeasible without quadrics); for gb, None: the edge length.
-    :class:`_AtomTermEvaluator`'s expression is evaluated at {midpoint,
-    v1, v2, analytic}. Returns (points (E, 3), costs (E,)), cost ``inf``
+    :func:`f_ac`'s expanded form is evaluated at {midpoint, v1, v2,
+    analytic}. Returns (points (E, 3), costs (E,)), cost ``inf``
     where no candidate survives.
     """
     cands = _candidate_points(p1, p2, analytic)
@@ -318,78 +295,38 @@ def gb_placements(p1, p2, analytic, quadric_costs, sums, lam):
 # --- atomic-center cost -----------------------------------------------------
 
 
-class _AtomTermEvaluator:
-    """Per-edge evaluator of the cumulative squared-distance change.
-
-    Using that each after-centroid is its before-centroid shifted by
-    (vbar - apex)/3, the expanded form collapses to a handful of dot
-    products against per-ring centroid sums and the atom-center sum, so
-    one evaluation is O(1) after an O(triangles + atoms) setup.
-    """
-
-    def __init__(self, star: EdgeStar, atom_positions):
-        self.star = star
-        self.m = len(atom_positions)
-        if self.m == 0:
-            return
-        s = np.sum(atom_positions, axis=0)
-        self.atom_sum = (float(s[0]), float(s[1]), float(s[2]))
-        up = star.upper_pos
-        lo = star.lower_pos
-        p1, p2 = star.p1, star.p2
-        sux = suy = suz = 0.0
-        for i in range(len(up) - 1):
-            cx, cy, cz = geometry_centroid(p2, up[i], up[i + 1])
-            sux += cx; suy += cy; suz += cz
-        slx = sly = slz = 0.0
-        for i in range(len(lo) - 1):
-            cx, cy, cz = geometry_centroid(p1, lo[i], lo[i + 1])
-            slx += cx; sly += cy; slz += cz
-        self.upper_centroid_sum = (sux, suy, suz)
-        self.lower_centroid_sum = (slx, sly, slz)
-        self.n_upper_tris = len(up) - 1
-        self.n_lower_tris = len(lo) - 1
-
-    def __call__(self, vbar):
-        if self.m == 0:
-            return 0.0
-        star = self.star
-        d2 = (
-            (vbar[0] - star.p2[0]) / 3.0,
-            (vbar[1] - star.p2[1]) / 3.0,
-            (vbar[2] - star.p2[2]) / 3.0,
-        )
-        d1 = (
-            (vbar[0] - star.p1[0]) / 3.0,
-            (vbar[1] - star.p1[1]) / 3.0,
-            (vbar[2] - star.p1[2]) / 3.0,
-        )
-        nu = self.n_upper_tris
-        nl = self.n_lower_tris
-        # sum of (c.c - cbar.cbar) with cbar = c + delta
-        sq_change = -(
-            2.0 * (dot(d2, self.upper_centroid_sum) + dot(d1, self.lower_centroid_sum))
-            + nu * dot(d2, d2) + nl * dot(d1, d1)
-        )
-        # sum of (cbar - c), dotted with the atom-center sum
-        shift = (
-            nu * d2[0] + nl * d1[0],
-            nu * d2[1] + nl * d1[1],
-            nu * d2[2] + nl * d1[2],
-        )
-        return abs(self.m * sq_change + 2.0 * dot(shift, self.atom_sum))
-
-
 def f_ac(star: EdgeStar, vbar, atom_positions) -> float:
     """Cumulative change in squared centroid-to-atom distances.
 
     ``atom_positions`` is an (m, 3) array of the atom centers within the
     capture radius of either endpoint (the caller fetches them, normally
-    from the spatial grid). Uses the expanded form, linear in the atom
-    count; the quadratic direct form is kept in the test suite as its
-    oracle.
+    from the spatial grid). Each ring centroid moves by (vbar - apex)/3,
+    so the expanded form is a few dot products against per-ring centroid
+    sums and the atom-center sum, linear in the atom count; the
+    quadratic direct form is kept in the test suite as its oracle.
     """
-    return _AtomTermEvaluator(star, atom_positions)(tuple(vbar))
+    m = len(atom_positions)
+    if m == 0:
+        return 0.0
+    vbar = tuple(vbar)
+    atom_sum = tuple(np.sum(atom_positions, axis=0).tolist())
+    rings = []  # (centroid sum, centroid shift, triangles): upper, lower
+    for apex, path in ((star.p2, star.upper_pos), (star.p1, star.lower_pos)):
+        sx = sy = sz = 0.0
+        for u, w in zip(path, path[1:]):
+            cx, cy, cz = geometry_centroid(apex, u, w)
+            sx += cx; sy += cy; sz += cz
+        rings.append(((sx, sy, sz), tuple((x - a) / 3.0 for x, a in zip(vbar, apex)),
+                      len(path) - 1))
+    (su, d2, nu), (sl, d1, nl) = rings
+    # sum of (c.c - cbar.cbar) with cbar = c + shift
+    sq_change = -(
+        2.0 * (dot(d2, su) + dot(d1, sl))
+        + nu * dot(d2, d2) + nl * dot(d1, d1)
+    )
+    # sum of (cbar - c), dotted with the atom-center sum
+    shift = tuple(nu * x2 + nl * x1 for x2, x1 in zip(d2, d1))
+    return abs(m * sq_change + 2.0 * dot(shift, atom_sum))
 
 
 def f_gb(
@@ -400,28 +337,24 @@ def f_gb(
     q1: Optional[Quadric] = None,
     q2: Optional[Quadric] = None,
 ) -> float:
-    """Atom-aware collapse cost: first term plus lam * f_ac."""
-    q = q1 + q2 if q1 is not None and q2 is not None else None
-    return _gb_evaluator(star, atom_positions, params, q)(tuple(vbar))
+    """Atom-aware collapse cost: first term plus lam * f_ac.
 
-
-def _gb_evaluator(star, atom_positions, params, q):
-    """Per-edge closure for f_gb with the atom term precomputed; ``q`` is
-    the combined endpoint quadric or None."""
-    if atom_positions is None:
-        atom_positions = np.empty((0, 3))
-    atom_term = _AtomTermEvaluator(star, atom_positions)
-    lam = params.lam
+    ``params.variant`` picks the first term: the edge length, or
+    :func:`f_qe` at vbar, which needs both endpoint quadrics.
+    ``atom_positions`` None means no nearby atoms.
+    """
+    vbar = tuple(vbar)
     if params.variant == "qe_term":
-        if q is None:
+        if q1 is None or q2 is None:
             raise ValueError("qe_term variant needs both endpoint quadrics")
-        if lam == 0.0:
-            return q.evaluate
-        return lambda vbar: q.evaluate(vbar) + lam * atom_term(vbar)
-    edge_len = dist(star.p1, star.p2)
-    if lam == 0.0:
-        return lambda vbar: edge_len
-    return lambda vbar: edge_len + lam * atom_term(vbar)
+        first = f_qe(q1, q2, vbar)
+    else:
+        first = dist(star.p1, star.p2)
+    if params.lam == 0.0:
+        return first
+    if atom_positions is None:
+        atom_positions = ()
+    return first + params.lam * f_ac(star, vbar, atom_positions)
 
 
 # --- placement policies -----------------------------------------------------
@@ -465,30 +398,28 @@ def placement_for(
         return point, vq.evaluate(point)
 
     candidates = [_midpoint(p1, p2), p1, p2]
-    q = None
     if q1 is not None and q2 is not None:
-        q = q1 + q2
-        candidates.append(minimize_quadric(q, p1, p2))
+        candidates.append(minimize_quadric(q1 + q2, p1, p2))
 
     if cost_kind == "pb":
         try:
-            evaluate = _QualityChangeEvaluator(star)
+            ring_qualities(star)
         except DegenerateTriangle as exc:
             raise CandidateInfeasible(
                 f"star of ({star.v1}, {star.v2}) has a degenerate triangle"
             ) from exc
     else:  # gb / gb_qe
-        if params is None:
-            params = GbCostParams()
-        if cost_kind == "gb_qe" and params.variant != "qe_term":
-            params = GbCostParams(rho=params.rho, lam=params.lam, variant="qe_term")
-        evaluate = _gb_evaluator(star, atom_positions, params, q)
+        params = params or GbCostParams()
+        if cost_kind == "gb_qe":
+            params = replace(params, variant="qe_term")
 
-    best = None
-    best_cost = math.inf
+    best, best_cost = None, math.inf
     for point in candidates:
         try:
-            c = evaluate(point)
+            if cost_kind == "pb":
+                c = f_pb(star, point)
+            else:
+                c = f_gb(star, point, atom_positions, params, q1, q2)
         except DegenerateTriangle:
             continue
         if c < best_cost:
@@ -510,7 +441,7 @@ def estimate_lambda(mesh, atoms, params: Optional[GbCostParams] = None,
     magnitude. Falls back to the stock default when no sampled edge sees
     a nearby atom.
     """
-    from .grid import grid_build, grid_query_edge
+    from .grid import grid_build
 
     if params is None:
         params = GbCostParams()
@@ -531,7 +462,7 @@ def estimate_lambda(mesh, atoms, params: Optional[GbCostParams] = None,
         if params.variant == "qe_term":
             q1, q2 = vertex_quadric(mesh, a), vertex_quadric(mesh, b)
         first = f_gb(star, mid, None, first_term, q1, q2)
-        ids = grid_query_edge(grid, star.p1, star.p2, params.rho)
+        ids = grid.query_edge(star.p1, star.p2, params.rho)
         ac = f_ac(star, mid, grid.centers[list(ids)])
         if ac > 0.0:
             firsts.append(first)

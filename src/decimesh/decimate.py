@@ -175,9 +175,11 @@ class Decimator:
 
     def __init__(self, mesh: TriangleMesh, config: DecimationConfig, atoms=None):
         try:
-            validate(mesh)
+            stats = validate(mesh)
         except DecimeshError as exc:
             raise InvalidInput(f"input mesh failed validation: {exc}") from exc
+        if not stats.is_closed_manifold:
+            raise InvalidInput("input mesh has no faces")
         self.mesh = mesh
         self.config = config
         kind = config.cost_kind

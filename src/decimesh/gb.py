@@ -131,7 +131,7 @@ def quadrature_rule(name) -> QuadratureRule:
     try:
         return _RULES[name]
     except KeyError:
-        raise ValueError(
+        raise InvalidConfig(
             f"unknown quadrature rule {name!r}; expected one of {sorted(_RULES)}"
         ) from None
 
@@ -199,6 +199,9 @@ def born_radii(mesh: TriangleMesh, atoms, rule=CENTROID_1PT, eps_dist=EPS_DIST):
     n = len(atoms)
     if n == 0:
         return np.empty(0)
+    if len(weights) == 0:
+        # every integral over an empty surface is 0
+        raise NonPositiveIntegral(list(range(n)))
     nodes = np.ascontiguousarray(nodes.T)
     normals = np.ascontiguousarray(normals.T)
     centers = np.array([a.center for a in atoms])

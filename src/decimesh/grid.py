@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from .errors import InvalidAtom, InvalidConfig
+
 
 @functools.lru_cache(maxsize=64)
 def _box_offsets(nx, ny, nz):
@@ -28,16 +30,16 @@ class UniformGrid:
     """
 
     def __init__(self, centers, cell_size):
-        if cell_size <= 0:
-            raise ValueError("cell_size must be positive")
+        if not 0 < cell_size < math.inf:
+            raise InvalidConfig(f"cell_size must be positive and finite, got {cell_size}")
         self.cell_size = float(cell_size)
         centers = np.asarray(centers, dtype=float)
         if centers.size == 0:
             centers = centers.reshape(0, 3)
         if centers.ndim != 2 or centers.shape[1] != 3:
-            raise ValueError(f"centers must be (m, 3), got {centers.shape}")
-        if centers.size and not np.isfinite(centers).all():
-            raise ValueError("atom centers must be finite")
+            raise InvalidAtom(f"centers must be (m, 3), got {centers.shape}")
+        if not np.isfinite(centers).all():
+            raise InvalidAtom("atom centers must be finite")
         self.centers = centers.copy()
         side = self.cell_size
         cells = np.zeros((0, 3), dtype=np.int64)
@@ -64,10 +66,11 @@ class UniformGrid:
 
     def query_balls(self, points, radius):
         """Every pair (i, j) with |centers[j] - points[i]| <= radius for
-        an (n, 3) array of points, as two id arrays sorted by i, then j."""
+        an (n, 3) array of points, as two id arrays sorted by i, then j.
+        A negative or NaN radius holds no point."""
         none = np.empty(0, dtype=np.int64)
         points = np.asarray(points, dtype=float).reshape(-1, 3)
-        if not len(self.centers) or radius < 0 or not len(points):
+        if not len(self.centers) or not radius >= 0 or not len(points):
             return none, none
         # each point's box of cells, clipped to the table
         lo = np.maximum(np.floor((points - radius) * self._inv) - self._origin, 0.0)
@@ -113,8 +116,3 @@ def grid_build(atoms, cell_size=5.0) -> UniformGrid:
     atom-aware cost, which makes edge queries touch few cells.
     """
     return UniformGrid(_atom_centers(atoms), cell_size)
-
-
-def grid_query_edge(grid: UniformGrid, v1, v2, rho):
-    """Atoms within ``rho`` of either edge endpoint, as sorted indices."""
-    return grid.query_edge(v1, v2, rho)

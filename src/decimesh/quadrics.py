@@ -219,11 +219,6 @@ def minimize_quadric(q: Quadric, p1, p2):
     return best
 
 
-def qe_optimal_placement(q1: Quadric, q2: Quadric, p1, p2):
-    """Placement minimizing f_qe for an edge with endpoint quadrics q1, q2."""
-    return minimize_quadric(q1 + q2, p1, p2)
-
-
 # -- packed (rows of 10 floats) twins of the scalar functions above --------
 #
 # Component arithmetic in the scalar functions' operation order, with no

@@ -31,7 +31,8 @@ from .mesh import quality_summary
 @dataclass(frozen=True)
 class HarnessParams:
     """Pinned parameters for a comparison sweep. A ``gamma`` that is not
-    finite and nonnegative raises ``InvalidConfig``."""
+    finite and nonnegative, or an unknown ``quadrature`` name, raises
+    ``InvalidConfig``."""
 
     rho: float = 5.0
     lam: float = 1e-8
@@ -43,6 +44,7 @@ class HarnessParams:
     def __post_init__(self):
         if not 0 <= self.gamma < math.inf:
             raise InvalidConfig(f"gamma must be nonnegative and finite, got {self.gamma}")
+        quadrature_rule(self.quadrature)
 
 
 @dataclass

@@ -259,6 +259,48 @@ def test_energy_overflowing_pair_terms_exit_2(tmp_path, sphere_file, capsys):
     assert "Traceback" not in err
 
 
+FACELESS = ["OFF\n0 0 0\n", "OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n"]
+
+
+@pytest.fixture(params=FACELESS, ids=["empty", "three_vertices"])
+def faceless_file(request, tmp_path):
+    path = tmp_path / "faceless.off"
+    path.write_text(request.param)
+    return str(path)
+
+
+def test_faceless_mesh_energy_exits_2(faceless_file, centered_atom_file, capsys):
+    code = cli_main(["energy", "--mesh", faceless_file, "--atoms", centered_atom_file])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("numerical failure: NonPositiveIntegral")
+
+
+def test_faceless_mesh_compare_records_reference_error(tmp_path, faceless_file,
+                                                       centered_atom_file, capsys):
+    json_path = tmp_path / "rep.json"
+    code = cli_main(
+        [
+            "compare", "--mesh", faceless_file, "--atoms", centered_atom_file,
+            "--costs", "qe,gb", "--targets", "4", "--report", str(json_path),
+        ]
+    )
+    assert code == 0
+    rows = json.loads(json_path.read_text())["rows"]
+    assert [r["cost_kind"] for r in rows] == ["reference", "qe", "gb"]
+    assert rows[0]["error"].startswith("NonPositiveIntegral")
+    assert all(r["error"] == "InvalidInput: input mesh has no faces" for r in rows[1:])
+    assert "rows 3 (3 failed)" in capsys.readouterr().out
+
+
+def test_faceless_mesh_decimate_exits_1(tmp_path, faceless_file, capsys):
+    out = tmp_path / "out.off"
+    code = cli_main(["decimate", "--mesh", faceless_file, "--cost", "qe",
+                     "--target-faces", "4", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: InvalidInput: input mesh has no faces")
+    assert not out.exists()
+
+
 def test_compare_writes_reports(tmp_path, capsys):
     mesh, atoms = synthetic_molecule(n_atoms=5, level=2, radius=6.0, seed=4)
     mesh_path = tmp_path / "in.off"

@@ -602,6 +602,82 @@ def test_pb_engine_degenerate_cases():
     assert best[2] == pytest.approx(want_cost, rel=1e-9, abs=1e-12)
 
 
+def first_cheapest(cost, candidates):
+    """The first cheapest candidate under ``cost``, skipping any that
+    flattens a triangle, as (None, inf) when none survives."""
+    best, best_cost = None, math.inf
+    for point in candidates:
+        try:
+            c = cost(point)
+        except DegenerateTriangle:
+            continue
+        if c < best_cost:
+            best, best_cost = point, c
+    return best, best_cost
+
+
+def point_quadric(x):
+    """Endpoint quadrics whose sum is minimized exactly at x."""
+    return (Quadric.from_planes([(1.0, 0.0, 0.0, -x[0]), (0.0, 1.0, 0.0, -x[1])]),
+            Quadric.from_planes([(0.0, 0.0, 1.0, -x[2])]))
+
+
+@pytest.mark.parametrize("kind", ["pb", "gb", "gb_qe"])
+def test_placement_is_first_cheapest_candidate_under_oracle(kind):
+    rng = np.random.default_rng(81)
+    skipped = infeasible = 0
+    for trial in range(300):
+        star = random_star(rng)
+        if trial % 3 == 0:
+            # the analytic point lands on a ring vertex, where it
+            # flattens that ring's triangle under pb
+            q1, q2 = point_quadric(star.upper_pos[1])
+        else:
+            q1, q2 = random_quadric(rng), random_quadric(rng)
+        atoms = rng.normal(scale=2.0, size=(int(rng.integers(0, 6)), 3))
+        params = GbCostParams(lam=(0.0, 1e-8, 0.3)[trial // 3 % 3])
+        p1, p2 = star.p1, star.p2
+        mid = tuple(0.5 * (a + b) for a, b in zip(p1, p2))
+        candidates = [mid, p1, p2, minimize_quadric(q1 + q2, p1, p2)]
+        if kind == "pb":
+            def cost(p):
+                return f_pb(star, p)
+        else:
+            first = "qe_term" if kind == "gb_qe" else "edge_length"
+            oracle_params = dataclasses.replace(params, variant=first)
+
+            def cost(p):
+                return f_gb(star, p, atoms, oracle_params, q1, q2)
+        want = first_cheapest(cost, candidates)
+        try:
+            got = placement_for(kind, star, q1, q2, atoms, params)
+        except CandidateInfeasible:
+            got = (None, math.inf)
+            infeasible += 1
+        assert got == want
+        if kind == "pb":
+            try:
+                f_pb(star, candidates[3])
+            except DegenerateTriangle:
+                skipped += 1
+    if kind == "pb":
+        assert skipped >= 100
+    assert infeasible == 0
+
+
+def test_placement_gb_qe_takes_quadric_first_term():
+    rng = np.random.default_rng(82)
+    for _ in range(50):
+        star = random_star(rng)
+        q1, q2 = random_quadric(rng), random_quadric(rng)
+        atoms = rng.normal(scale=2.0, size=(4, 3))
+        point, cost = placement_for("gb_qe", star, q1, q2, atoms, params=GbCostParams())
+        qe_first = GbCostParams(variant="qe_term")
+        assert cost == f_gb(star, point, atoms, qe_first, q1, q2)
+        assert cost == f_qe(q1, q2, point) + 1e-8 * f_ac(star, point, atoms)
+        assert (point, cost) == placement_for("gb_qe", star, q1, q2, atoms, params=qe_first)
+
+
 def test_placement_unknown_kind():
     rng = np.random.default_rng(53)
     with pytest.raises(ValueError):

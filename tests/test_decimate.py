@@ -114,6 +114,14 @@ def test_invalid_input_rejected(tetra):
         decimate(broken, DecimationConfig(cost_kind="qe", target_faces=4))
 
 
+@pytest.mark.parametrize("n_vertices", [0, 3])
+def test_faceless_input_rejected(n_vertices):
+    mesh = TriangleMesh(np.eye(3)[:n_vertices].reshape(-1, 3), [])
+    assert not validate(mesh).is_closed_manifold
+    with pytest.raises(InvalidInput, match="no faces"):
+        Decimator(mesh, DecimationConfig(cost_kind="qe", target_faces=4))
+
+
 @pytest.mark.parametrize("kind", ["qe", "vol"])
 def test_pinched_input_rejected(kind):
     # qe and vol score edges without a star walk, so only validation

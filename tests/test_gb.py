@@ -30,6 +30,7 @@ from decimesh.errors import (
     InputError,
     InvalidAtom,
     InvalidCharge,
+    InvalidConfig,
     InvalidRadius,
     NonPositiveIntegral,
     NumericalError,
@@ -86,6 +87,13 @@ def test_quadrature_rule_lookup():
     assert quadrature_rule(CENTROID_1PT) is CENTROID_1PT
     with pytest.raises(ValueError):
         quadrature_rule("9pt")
+
+
+def test_unknown_quadrature_name_is_invalid_config(sphere320):
+    with pytest.raises(InvalidConfig, match="unknown quadrature rule '5pt'"):
+        quadrature_rule("5pt")
+    with pytest.raises(InvalidConfig):
+        born_radii(sphere320, [Atom(center=(0, 0, 0), charge=1.0)], rule="5pt")
 
 
 # --- Born radii ----------------------------------------------------------------
@@ -275,6 +283,17 @@ def test_non_positive_integrals_listed_in_order(workers):
         with pytest.raises(NonPositiveIntegral) as info:
             born_radii(mesh, atoms)
     assert info.value.atom_indices == [2, 5, 6, 11]
+
+
+@pytest.mark.parametrize("n_vertices", [0, 3])
+def test_faceless_mesh_integrals_are_zero(n_vertices):
+    # every integral over an empty surface is 0, so every atom is listed
+    mesh = TriangleMesh(np.eye(3)[:n_vertices].reshape(-1, 3), [])
+    atoms = [Atom(center=(0, 0, 0.1 * k), charge=1.0) for k in range(3)]
+    with pytest.raises(NonPositiveIntegral) as info:
+        born_radii(mesh, atoms)
+    assert info.value.atom_indices == [0, 1, 2]
+    assert len(born_radii(mesh, [])) == 0
 
 
 def test_energetics_leave_no_thread_behind():

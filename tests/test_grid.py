@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from decimesh import Atom, UniformGrid, grid_build, grid_query_edge
+from decimesh import Atom, DecimationConfig, UniformGrid, decimate, grid_build
+from decimesh.errors import InvalidAtom, InvalidConfig
+from decimesh.shapes import icosphere
 
 
 def brute_ball(centers, point, radius):
@@ -52,7 +56,7 @@ def test_edge_queries_match_brute_force():
         p1 = tuple(rng.uniform(-32, 32, size=3))
         p2 = tuple(p1 + rng.normal(scale=2.0, size=3))
         rho = float(rng.uniform(0.5, 8.0))
-        assert grid_query_edge(grid, p1, p2, rho) == brute_edge(centers, p1, p2, rho)
+        assert grid.query_edge(p1, p2, rho) == brute_edge(centers, p1, p2, rho)
 
 
 def test_query_balls_is_query_ball_per_point():
@@ -113,3 +117,33 @@ def test_invalid_inputs():
         grid_build([], cell_size=0.0)
     with pytest.raises(ValueError):
         UniformGrid(np.array([[np.inf, 0, 0]]), 1.0)
+
+
+@pytest.mark.parametrize("cell_size", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_cell_size_must_be_positive_and_finite(cell_size):
+    with pytest.raises(InvalidConfig, match="cell_size"):
+        grid_build(np.zeros((2, 3)), cell_size=cell_size)
+
+
+def test_nan_radius_holds_no_point():
+    centers = np.random.default_rng(5).uniform(-5, 5, size=(30, 3))
+    grid = grid_build(centers, cell_size=2.0)
+    assert grid.query_ball((0.0, 0.0, 0.0), math.nan) == []
+    assert grid.query_edge((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), math.nan) == []
+    owners, ids = grid.query_balls(centers, math.nan)
+    assert len(owners) == len(ids) == 0
+    assert grid.query_ball((0.0, 0.0, 0.0), -1.0) == []
+
+
+@pytest.mark.parametrize("centers", [
+    np.array([[math.nan, 0.0, 0.0]]),
+    np.array([[0.0, math.inf, 0.0], [1.0, 1.0, 1.0]]),
+    np.zeros((2, 4)),
+    np.zeros(3),
+])
+def test_bad_centers_are_invalid_atoms(centers):
+    with pytest.raises(InvalidAtom):
+        grid_build(centers)
+    config = DecimationConfig(cost_kind="gb", target_faces=40)
+    with pytest.raises(InvalidAtom):
+        decimate(icosphere(1, radius=5.0), config, atoms=centers)

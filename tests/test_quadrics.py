@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from decimesh import TriangleMesh, f_qe, qe_optimal_placement, vertex_quadric
+from decimesh import TriangleMesh, f_qe, vertex_quadric
 from decimesh.errors import IsolatedVertex
 from decimesh.quadrics import HomogeneousPlane, Quadric, minimize_quadric
 from decimesh.shapes import icosphere
@@ -144,7 +144,7 @@ def test_placement_never_worse_than_discrete_candidates():
         q2 = Quadric.from_planes(planes[len(planes) // 2:])
         p1 = tuple(rng.normal(size=3))
         p2 = tuple(rng.normal(size=3))
-        point = qe_optimal_placement(q1, q2, p1, p2)
+        point = minimize_quadric(q1 + q2, p1, p2)
         combined = q1 + q2
         mid = tuple(0.5 * (p1[i] + p2[i]) for i in range(3))
         discrete_best = min(

@@ -8,7 +8,7 @@ import pytest
 from decimesh import report as report_module
 from decimesh import run_compare
 from decimesh.decimate import DecimationConfig, decimate
-from decimesh.errors import DecimeshError
+from decimesh.errors import DecimeshError, InvalidConfig
 from decimesh.gb import GBParams, quadrature_rule
 from decimesh.report import HarnessParams, ReportRow, _measure, resolve_targets
 
@@ -180,3 +180,9 @@ def test_one_decimation_pass_per_kind(monkeypatch, sweep_molecule):
         done = [n for k, n in calls if k == kind]
         assert len(done) == len(valid)
         assert sum(done) == (mesh.n_faces - min(valid)) // 2
+
+
+@pytest.mark.parametrize("name", ["5pt", "", None])
+def test_unknown_quadrature_rejected_by_harness_params(name):
+    with pytest.raises(InvalidConfig, match="unknown quadrature rule"):
+        HarnessParams(quadrature=name)

@@ -26,9 +26,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import CandidateInfeasible, DegenerateTriangle, InvalidConfig
+from .errors import CandidateInfeasible, DegenerateTriangle, InvalidConfig, InvalidInput
 from .geometry import centroid as geometry_centroid
 from .geometry import cross, dist, dot, sub, triangle_quality, triangle_quality_array
+from .grid import grid_build, term_blocks
 from .mesh import EdgeStar, edge_star
 from .quadrics import (
     _PACK_I,
@@ -157,6 +158,12 @@ def triangle_centroids(vertices, tris):
     return np.array(geometry_centroid(p[:, 0], p[:, 1], p[:, 2])).T
 
 
+# ring triangles times their five apexes (before the collapse and at
+# each candidate) per block of pb_candidate_costs, as gb.py's blocks
+# count node-atom pairs and pair terms
+_PB_BLOCK_TERMS = 2**15
+
+
 def _candidate_points(p1, p2, analytic):
     """(3, 4, E) candidate array {midpoint, v1, v2, analytic} per edge
     from (3, E) endpoints and (E, 3) analytic points."""
@@ -193,38 +200,51 @@ def pb_candidate_costs(vertices, stars, analytic):
 
     Evaluates every ring triangle before the collapse and at each
     candidate {midpoint, v1, v2, analytic} together, in one call of
-    :func:`geometry.triangle_quality_array`, the array form of the
-    :func:`geometry.triangle_quality` that :func:`f_pb` sums. The sums
-    run upper ring then lower, term by term, as in :func:`f_pb`, and an
-    endpoint candidate skips the ring it leaves unchanged, so those
-    terms are exactly zero. Returns (candidates (4, E, 3), costs (4, E))
-    with ``inf`` for a candidate that flattens a ring triangle and for
-    every candidate of a star that is already flat (where the scalar
-    path raises). Agrees with :func:`f_pb` up to the last bits of
-    ``arccos``.
+    :func:`geometry.triangle_quality_array` per block of whole stars,
+    the array form of the :func:`geometry.triangle_quality` that
+    :func:`f_pb` sums. A block's ring triangles times those five apexes
+    number at most ``_PB_BLOCK_TERMS`` (a block holds one star at
+    least), so the working memory does not grow with the number of
+    stars. The sums run upper ring then lower, term by term, as in
+    :func:`f_pb`, and an endpoint candidate skips the ring it leaves
+    unchanged, so those terms are exactly zero. Returns (candidates
+    (4, E, 3), costs (4, E)) with ``inf`` for a candidate that flattens
+    a ring triangle and for every candidate of a star that is already
+    flat (where the scalar path raises). Agrees with :func:`f_pb` up to
+    the last bits of ``arccos``.
     """
     n_edges = len(stars)
-    if n_edges == 0:
-        return np.empty((4, 0, 3)), np.empty((4, 0))
-    # one gather of the endpoints and ring paths, upper then lower per
-    # edge; ring triangle k spans a path vertex and the next one on its
-    # path, which is 2e for the upper ring of edge e and 2e + 1 for its
-    # lower ring, with apex p2 on the upper ring and p1 on the lower
-    ids = [v for star in stars for v in (star.v1, star.v2)]
+    ends = vertices.take([v for star in stars for v in (star.v1, star.v2)], axis=0)
+    cands = _candidate_points(ends[0::2].T, ends[1::2].T, analytic)
+    costs = np.empty((4, n_edges))
+    # whole stars per block, by their ring triangles
+    terms = 5 * np.cumsum([len(star.upper) + len(star.lower) - 2 for star in stars])
+    for start, stop in term_blocks(terms, _PB_BLOCK_TERMS):
+        costs[:, start:stop] = _pb_block_costs(vertices, stars[start:stop],
+                                               cands[:, :, start:stop])
+    return cands.transpose(1, 2, 0), costs
+
+
+def _pb_block_costs(vertices, stars, cands):
+    """The (4, E) costs of :func:`pb_candidate_costs` for one block of
+    stars and their (3, 4, E) candidates."""
+    n_edges = len(stars)
+    # one gather of the ring paths, upper then lower per edge; ring
+    # triangle k spans a path vertex and the next one on its path, which
+    # is 2e for the upper ring of edge e and 2e + 1 for its lower ring,
+    # with apex p2 on the upper ring and p1 on the lower
     paths = [v for star in stars for v in (*star.upper, *star.lower)]
     lengths = np.array([len(p) for star in stars for p in (star.upper, star.lower)])
-    pts = vertices.take(np.array(ids + paths), axis=0).T.copy()
-    ends, path_pts = pts[:, : 2 * n_edges], pts[:, 2 * n_edges:]
+    path_pts = vertices.take(np.array(paths), axis=0).T.copy()
     starts = np.ones(len(paths), dtype=bool)
     starts[np.cumsum(lengths) - 1] = False
     starts = np.flatnonzero(starts)
     path = np.repeat(np.arange(2 * n_edges), lengths - 1)
     owner = path >> 1
-    cands = _candidate_points(ends[:, 0::2], ends[:, 1::2], analytic)
 
     # apex before the collapse, then at each candidate: (3, 5, T)
     apex = np.empty((3, 5, len(path)))
-    apex[:, 0] = ends.take(path ^ 1, axis=1)
+    apex[:, 0] = cands[:, 2 - (path & 1), owner]  # v2 on upper rings, v1 on lower
     apex[:, 1:] = cands.take(owner, axis=2)
     q = triangle_quality_array(apex, path_pts.take(starts, axis=1),
                                path_pts.take(starts + 1, axis=1))
@@ -240,7 +260,7 @@ def pb_candidate_costs(vertices, stars, analytic):
     costs = costs.reshape(4, n_edges)
     costs[np.isnan(costs)] = np.inf
     costs[:, np.isnan(np.bincount(owner, q[0], minlength=n_edges))] = np.inf
-    return cands.transpose(1, 2, 0), costs
+    return costs
 
 
 class StarSums(NamedTuple):
@@ -439,15 +459,16 @@ def estimate_lambda(mesh, atoms, params: Optional[GbCostParams] = None,
     midpoint, and returns median(first) / median(f_ac) over the samples
     with a nonzero atom term, so the two terms land on the same order of
     magnitude. Falls back to the stock default when no sampled edge sees
-    a nearby atom.
+    a nearby atom. Raises ``InvalidConfig`` unless ``n_edges >= 1`` and
+    ``InvalidInput`` for a mesh without edges.
     """
-    from .grid import grid_build
-
+    if not n_edges >= 1:
+        raise InvalidConfig(f"n_edges must be at least 1, got {n_edges}")
     if params is None:
         params = GbCostParams()
     edges = sorted(mesh.edges())
     if not edges:
-        raise ValueError("mesh has no edges")
+        raise InvalidInput("mesh has no edges")
     rng = np.random.default_rng(seed)
     picks = rng.choice(len(edges), size=min(n_edges, len(edges)), replace=False)
     grid = grid_build(atoms, cell_size=params.rho)

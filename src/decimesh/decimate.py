@@ -71,9 +71,11 @@ from .quadrics import minimize_packed, plane_quadric_rows
 from .costs import placement_for, vol_quadric  # noqa: F401
 from .quadrics import minimize_quadric  # noqa: F401
 
-# edges per candidate batch: one numpy pass of the candidate engine and
-# (for pb) one shared StarCache, which bounds their scratch memory on big
-# meshes; (vertex, triangle) pairs per pass when the store is rebuilt
+# edges per candidate batch: one numpy pass of the candidate engine, whose
+# arrays grow with the batch (pb's walked stars and their StarCache do
+# too, but pb_candidate_costs scores those stars in blocks of its own
+# term budget); (vertex, triangle) pairs per pass when the store is
+# rebuilt
 _CHUNK = 2048
 
 _NO_ATOMS = np.empty(0, dtype=np.int64)
@@ -449,11 +451,17 @@ class Decimator:
                           triangle_centroids(mesh.vertices, tris))
 
     def _query_balls(self, verts):
-        """Re-query the atom balls of vertex id array ``verts``."""
-        owner, ids = self._grid.query_balls(self.mesh.vertices[verts], self.params.rho)
-        ends = np.cumsum(np.bincount(owner, minlength=len(verts)))[:-1]
-        for v, ball in zip(verts.tolist(), np.split(ids, ends)):
-            self._atom_balls[v] = ball
+        """Re-query the atom balls of vertex id array ``verts``, one
+        block of the grid's query at a time, so no array of every
+        vertex's atom pairs is ever made."""
+        balls = self._atom_balls
+        first = 0
+        for counts, ids in self._grid.ball_blocks(self.mesh.vertices[verts], self.params.rho):
+            end = 0
+            for v, size in zip(verts[first:first + len(counts)].tolist(), counts.tolist()):
+                balls[v] = ids[end:end + size]
+                end += size
+            first += len(counts)
 
     def _compact_heap(self):
         """Drop stale entries once they dominate the heap, so push cost

@@ -126,28 +126,43 @@ def triangle_quality(a, b, c):
 def triangle_quality_array(a, b, c):
     """:func:`triangle_quality` over corner arrays laid out
     coordinate-first, (3, ...) and broadcastable, with the same
-    operation order; NaN where the scalar version raises."""
-    ux = b[0] - c[0]; uy = b[1] - c[1]; uz = b[2] - c[2]
-    vx = c[0] - a[0]; vy = c[1] - a[1]; vz = c[2] - a[2]
-    wx = a[0] - b[0]; wy = a[1] - b[1]; wz = a[2] - b[2]
-    la2 = ux * ux + uy * uy + uz * uz
-    lb2 = vx * vx + vy * vy + vz * vz
-    lc2 = wx * wx + wy * wy + wz * wz
+    operation order; NaN where the scalar version raises. Each
+    intermediate is dropped once used, so at most about a dozen arrays
+    of the output's shape are alive at once."""
+    la2 = _squared_side(b, c)
+    lb2 = _squared_side(c, a)
+    lc2 = _squared_side(a, b)
     lmin2 = np.minimum(np.minimum(la2, lb2), lc2)
-    lmax2 = np.maximum(np.maximum(la2, lb2), lc2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ca = (lb2 + lc2 - la2) / (2.0 * np.sqrt(lb2 * lc2))
-        cb = (lc2 + la2 - lb2) / (2.0 * np.sqrt(lc2 * la2))
-        cc = (la2 + lb2 - lc2) / (2.0 * np.sqrt(la2 * lb2))
+        ratio = np.sqrt(np.maximum(np.maximum(la2, lb2), lc2) / lmin2)
+        flat = lmin2 <= 0.0
+        del lmin2
+        ca = _cosine(lb2, lc2, la2)
+        cb = _cosine(lc2, la2, lb2)
+        cc = _cosine(la2, lb2, lc2)
         # arccos is decreasing: the extreme angles come from the extreme
         # cosines, which saves a third of the arccos work
         cmax = np.maximum(np.maximum(ca, cb), cc)
         cmin = np.minimum(np.minimum(ca, cb), cc)
+        del ca, cb, cc
         amin = np.arccos(np.maximum(np.minimum(cmax, 1.0), -1.0))
         amax = np.arccos(np.maximum(np.minimum(cmin, 1.0), -1.0))
-        q = np.sqrt(lmax2 / lmin2) + amax / amin
-    q[(lmin2 <= 0.0) | ~(amin > 0.0)] = np.nan
+        q = ratio + amax / amin
+    q[flat | ~(amin > 0.0)] = np.nan
     return q
+
+
+def _squared_side(p, q):
+    """Squared length of the side from q to p, coordinate-first, in
+    :func:`triangle_quality`'s order."""
+    dx = p[0] - q[0]; dy = p[1] - q[1]; dz = p[2] - q[2]
+    return dx * dx + dy * dy + dz * dz
+
+
+def _cosine(s2, t2, opposite2):
+    """Law of cosines on squared sides, in :func:`triangle_quality`'s
+    order: the cosine of the angle between sides s and t."""
+    return (s2 + t2 - opposite2) / (2.0 * np.sqrt(s2 * t2))
 
 
 def is_well_centered(a, b, c):

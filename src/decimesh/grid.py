@@ -15,10 +15,36 @@ import numpy as np
 from .errors import InvalidAtom, InvalidConfig
 
 
+# (point, cell row) and (point, candidate) pairs per block of a ball
+# query, as gb.py's blocks count node-atom pairs and pair terms
+_BALL_BLOCK_TERMS = 2**15
+
+# the corners of a box as 0/1 offsets along each axis, and the sign of
+# each corner's summed-area count in the box's count
+_CORNERS = np.indices((2, 2, 2)).reshape(3, -1).T
+_CORNER_SIGNS = np.where(_CORNERS.sum(axis=1) % 2, 1, -1)
+
+_NONE = np.empty(0, dtype=np.int64)
+
+
+def term_blocks(terms, budget):
+    """(start, stop) of the consecutive runs of items that the blocked
+    kernels work on, from the running total ``terms`` of the items'
+    terms: each run holds at most ``budget`` terms, or one item."""
+    start = 0
+    while start < len(terms):
+        spent = terms[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(terms, spent + budget, side="right")))
+        yield start, stop
+        start = stop
+
+
 @functools.lru_cache(maxsize=64)
-def _box_offsets(nx, ny, nz):
-    """(nx * ny * nz, 3) cell offsets of a box of cells; do not mutate."""
-    return np.indices((nx, ny, nz)).reshape(3, -1).T
+def _row_offsets(nx, ny, x_stride, y_stride):
+    """The (x, y) offsets of the rows of an nx by ny box of cells, as an
+    (nx * ny, 2) array, and each row's key offset; do not mutate."""
+    offsets = np.indices((nx, ny)).reshape(2, -1).T
+    return offsets, offsets @ np.array([x_stride, y_stride])
 
 
 class UniformGrid:
@@ -53,13 +79,24 @@ class UniformGrid:
             side *= 2.0
         self._inv = 1.0 / side
         self._origin = origin.astype(float)
-        self._top = (dims - 1).astype(float)
+        # the (2, 3) bounds of a box's lowest and highest cell: the
+        # lowest at most one past the table's top, so every box's
+        # corners index the summed-area table
+        self._ends_min = np.array([[0.0] * 3, [-1.0] * 3])
+        self._ends_max = np.stack([dims, dims - 1]).astype(float)
         self._strides = np.array([dims[1] * dims[2], dims[2], 1])
         keys = (cells - origin) @ self._strides
-        # point ids grouped by cell, ascending within a cell
+        # point ids grouped by cell, ascending within a cell; the ids of
+        # cells k..l-1 are _order[_cum[k]:_cum[l]]
         self._order = np.argsort(keys, kind="stable")
-        self._counts = np.bincount(keys, minlength=math.prod(dims.tolist()))
-        self._starts = np.cumsum(self._counts) - self._counts
+        counts = np.bincount(keys, minlength=math.prod(dims.tolist()))
+        self._cum = np.concatenate([[0], np.cumsum(counts)])
+        # summed-area table: _box_sums[x, y, z] counts the points in the
+        # cells below (x, y, z) on every axis
+        box_sums = np.zeros(tuple((dims + 1).tolist()), dtype=np.int64)
+        box_sums[1:, 1:, 1:] = counts.reshape(dims.tolist()).cumsum(0).cumsum(1).cumsum(2)
+        self._box_sums = box_sums.ravel()
+        self._box_strides = np.array([(dims[1] + 1) * (dims[2] + 1), dims[2] + 1, 1])
 
     def __len__(self):
         return len(self.centers)
@@ -67,31 +104,90 @@ class UniformGrid:
     def query_balls(self, points, radius):
         """Every pair (i, j) with |centers[j] - points[i]| <= radius for
         an (n, 3) array of points, as two id arrays sorted by i, then j.
-        A negative or NaN radius holds no point."""
-        none = np.empty(0, dtype=np.int64)
-        points = np.asarray(points, dtype=float).reshape(-1, 3)
-        if not len(self.centers) or not radius >= 0 or not len(points):
-            return none, none
-        # each point's box of cells, clipped to the table
-        lo = np.maximum(np.floor((points - radius) * self._inv) - self._origin, 0.0)
-        hi = np.minimum(np.floor((points + radius) * self._inv) - self._origin, self._top)
-        lo = lo.astype(np.int64)
-        span = np.maximum(hi.astype(np.int64) - lo + 1, 0)
-        # every cell of every box, as (point, cell) pairs
-        offsets = _box_offsets(*span.max(axis=0).tolist())
-        owner, cell = np.nonzero((offsets < span[:, None]).all(axis=2))
-        cell = (lo[owner] + offsets[cell]) @ self._strides
-        # expanded to (point, candidate id) pairs
-        counts = self._counts[cell]
-        first = self._starts[cell] - (np.cumsum(counts) - counts)
-        owner = np.repeat(owner, counts)
-        ids = self._order[np.repeat(first, counts) + np.arange(len(owner))]
+        A negative or NaN radius holds no point.
 
-        d2 = ((self.centers[ids] - points[owner]) ** 2).sum(axis=1)
-        near = d2 <= radius * radius
-        pairs = owner[near] * len(self.centers) + ids[near]
+        The balls are gathered by :meth:`ball_blocks`, so the working
+        memory beside the result is bounded by its term budget whatever
+        the point count, the radius or the atom density."""
+        points = np.asarray(points, dtype=float).reshape(-1, 3)
+        counts, ids = [_NONE], [_NONE]
+        for block_counts, block_ids in self.ball_blocks(points, radius):
+            counts.append(block_counts)
+            ids.append(block_ids)
+        return np.repeat(np.arange(len(points)), np.concatenate(counts)), np.concatenate(ids)
+
+    def ball_blocks(self, points, radius):
+        """The balls of :meth:`query_balls` one block of points at a
+        time: yields (counts, ids) per block, in point order, with the
+        ball sizes of the block's points and their ids, each ball sorted.
+
+        A point's box of cells is walked as rows of cells along the last
+        axis, each a contiguous run of ids. A block's (point, row) and
+        (point, candidate) pairs number at most ``_BALL_BLOCK_TERMS``
+        together, counted up front from a summed-area table of the cell
+        counts, except that a block holds at least one point, whose
+        pairs are bounded by the table's size and the grid's points."""
+        points = np.asarray(points, dtype=float).reshape(-1, 3)
+        budget = _BALL_BLOCK_TERMS
+        # a point's box takes about 30 words to lay out and count: the
+        # boxes are laid out 1/32 of the budget in points at a time
+        step = max(1, budget >> 5)
+        for first in range(0, len(points), step):
+            chunk = points[first:first + step]
+            lo, span = self._boxes(chunk, radius)
+            # every box's rows are walked as the chunk's widest box's
+            nx, ny = span[:, :2].max(axis=0).tolist()
+            # a chunk that fits even if every ball held every point needs
+            # no counts
+            if len(chunk) * (nx * ny + len(self.centers)) <= budget:
+                yield self._ball_block(chunk, lo, span, nx, ny, radius)
+                continue
+            terms = np.cumsum(nx * ny + self._box_counts(lo, span))
+            for start, stop in term_blocks(terms, budget):
+                yield self._ball_block(chunk[start:stop], lo[start:stop], span[start:stop],
+                                       nx, ny, radius)
+
+    def _boxes(self, points, radius):
+        """Each point's box of cells of the table: its lowest cell (n, 3)
+        and its extent (n, 3) on each axis, zero on some axis for an
+        empty box."""
+        if not len(self.centers) or not radius >= 0:
+            empty = np.zeros((len(points), 3), dtype=np.int64)
+            return empty, empty
+        ends = np.floor((points[:, None] + np.array([[-radius], [radius]])) * self._inv)
+        ends -= self._origin
+        ends = np.minimum(np.maximum(ends, self._ends_min), self._ends_max).astype(np.int64)
+        lo, hi = ends[:, 0], ends[:, 1]
+        return lo, np.maximum(hi - lo + 1, 0)
+
+    def _box_counts(self, lo, span):
+        """The number of points in each box, by inclusion-exclusion over
+        the eight corners of the summed-area table."""
+        keys = (lo @ self._box_strides)[:, None] + (span * self._box_strides) @ _CORNERS.T
+        return self._box_sums[keys] @ _CORNER_SIGNS
+
+    def _ball_block(self, points, lo, span, nx, ny, radius):
+        """(counts, ids) of one block of points whose boxes span at most
+        ``nx`` by ``ny`` rows; see :meth:`ball_blocks`."""
+        n, m = len(points), max(len(self.centers), 1)
+        # every row of every box, as (point, row) pairs
+        offsets, offset_keys = _row_offsets(nx, ny, self._strides[0], self._strides[1])
+        owner, row = np.nonzero((offsets < span[:, None, :2]).all(axis=2))
+        key = (lo @ self._strides)[owner] + offset_keys[row]
+        begin = self._cum[key]
+        sizes = self._cum[key + span[:, 2][owner]] - begin
+        # expanded to (point, candidate id) pairs, still grouped by point
+        owner = np.repeat(owner, sizes)
+        ids = self._order[np.repeat(begin - (np.cumsum(sizes) - sizes), sizes)
+                          + np.arange(len(owner))]
+
+        d = self.centers[ids] - points[owner]
+        near = (d * d).sum(axis=1) <= radius * radius
+        owner = owner[near]
+        # sorting the keys moves ids only within their point's group
+        pairs = owner * m + ids[near]
         pairs.sort()
-        return np.divmod(pairs, len(self.centers))
+        return np.bincount(owner, minlength=n), pairs - owner * m
 
     def query_ball(self, point, radius):
         """Sorted indices of points with |x - point| <= radius: the

@@ -1,8 +1,14 @@
 import dataclasses
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import decimesh.costs as costs_module
 
 from decimesh import f_ac, f_gb, f_pb, f_qe, f_vol, placement_for
 from decimesh.costs import (
@@ -14,12 +20,19 @@ from decimesh.costs import (
     ring_qualities,
     vol_quadric,
 )
-from decimesh.errors import CandidateInfeasible, DegenerateTriangle
-from decimesh.mesh import EdgeStar, edge_star
+from decimesh.decimate import DecimationConfig, Decimator, _edge_keys
+from decimesh.errors import (
+    CandidateInfeasible,
+    DegenerateTriangle,
+    InputError,
+    InvalidConfig,
+    InvalidInput,
+)
+from decimesh.mesh import EdgeStar, TriangleMesh, edge_star
 from decimesh.quadrics import Quadric, minimize_quadric
 from decimesh.shapes import icosphere
 
-from conftest import random_rotation
+from conftest import bits, random_rotation
 
 
 def make_star(p1, p2, upper, lower):
@@ -572,6 +585,56 @@ def test_pb_engine_exact_zeros_and_tie_order():
     assert best == [costs[2, 0]]
 
 
+def pb_budget(terms):
+    """Patch the term budget of pb_candidate_costs's blocks."""
+    return mock.patch.object(costs_module, "_PB_BLOCK_TERMS", terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_stars=st.integers(1, 60),
+    max_ring=st.integers(2, 9),
+    seed=st.integers(0, 2**32 - 1),
+    budget=st.sampled_from([1, 5, 7, 40, 100, 2**15]),
+)
+def test_blocked_pb_costs_equal_one_block_bit_for_bit(n_stars, max_ring, seed, budget):
+    # blocks from one star to all, over random stars with missing,
+    # random and apex-equal analytic points and a flat star among them
+    rng = np.random.default_rng(seed)
+    stars = [random_star(rng, max_ring) for _ in range(n_stars)]
+    upper = [(1.0, 0.0, 0.0), (2.0, 0.0, 0.0), (-1.0, 0.0, 1.0)]
+    lower = [(1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (-1.0, 0.0, 1.0)]
+    stars.insert(int(rng.integers(0, n_stars)),
+                 make_star((0.0, 0.0, 0.0), (1.5, 0.0, 0.0), upper, lower))
+    analytic = [None if k % 3 == 0 else star.p2 if k % 3 == 1 else tuple(rng.normal(size=3))
+                for k, star in enumerate(stars)]
+    with pb_budget(2**62):
+        want = pb_engine(stars, analytic, per_candidate=True)
+    with pb_budget(budget):
+        got = pb_engine(stars, analytic, per_candidate=True)
+    assert bits(got[0].ravel()) == bits(want[0].ravel())
+    assert bits(got[1].ravel()) == bits(want[1].ravel())
+
+
+def test_pb_placements_memory_is_bounded():
+    # one 2,048-edge chunk of the level-4 sphere: the parent's one pass
+    # over its (3, 5, T) candidate terms peaked at 17.1 MB
+    mesh = icosphere(4, radius=10.0)
+    dec = Decimator(mesh, DecimationConfig(cost_kind="pb", target_faces=100))
+    dec._recompute_quadric_rows(range(len(mesh.vertices)))
+    edges = _edge_keys(mesh.live_triangle_array(), len(mesh.vertices))[:2048]
+    stars = [edge_star(mesh, a, b) for a, b in edges.tolist()]
+    analytic = dec._quadric_minima(edges)[0]
+    tracemalloc.start()
+    try:
+        points, costs = pb_placements(mesh.vertices, stars, analytic)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(costs).all()
+    assert peak < 6e6
+
+
 def test_pb_engine_degenerate_cases():
     # a before-triangle is flat: the whole edge is infeasible
     upper = [(1.0, 0.0, 0.0), (2.0, 0.0, 0.0), (-1.0, 0.0, 1.0)]
@@ -695,3 +758,25 @@ def test_estimate_lambda():
     # no atoms anywhere near: fall back to the configured default
     far = [Atom(center=(1e6, 1e6, 1e6), charge=1.0)]
     assert estimate_lambda(mesh, far, GbCostParams(rho=1.0), n_edges=50) == 1e-8
+
+
+@pytest.mark.parametrize("n_vertices", [0, 3])
+def test_estimate_lambda_edgeless_mesh_is_invalid_input(n_vertices):
+    from decimesh import Atom
+
+    mesh = TriangleMesh(np.eye(3)[:n_vertices].reshape(-1, 3), [])
+    with pytest.raises(InvalidInput, match="no edges") as info:
+        estimate_lambda(mesh, [Atom(center=(0, 0, 0), charge=1.0)])
+    assert isinstance(info.value, InputError)
+
+
+@pytest.mark.parametrize("n_edges", [0, -1, math.nan])
+def test_estimate_lambda_needs_one_edge_at_least(n_edges):
+    from decimesh import Atom
+
+    mesh = icosphere(1, radius=5.0)
+    with pytest.raises(InvalidConfig, match="n_edges"):
+        estimate_lambda(mesh, [Atom(center=(0, 0, 0), charge=1.0)], n_edges=n_edges)
+    # checked before the mesh is read
+    with pytest.raises(InvalidConfig, match="n_edges"):
+        estimate_lambda(TriangleMesh(np.empty((0, 3)), []), [], n_edges=n_edges)

@@ -1,8 +1,12 @@
 import heapq
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+
+import decimesh.costs as costs_module
+import decimesh.grid as grid_module
 
 from decimesh import Atom, TriangleMesh, decimate, grid_build, validate
 from decimesh.decimate import DecimationConfig, Decimator
@@ -345,3 +349,28 @@ def test_atom_ball_cache_matches_grid_query():
         assert with_atoms > 100
         assert_atom_sums_equal_grid(dec, grid, edges)
         assert_near_oracle(checks, dec, grid, edges, [dec.candidate(a, b) for a, b in edges])
+
+
+_DEFAULT_BUDGET_RUNS = {}
+
+
+def molecule_run(kind):
+    """Trace and output positions of the molecule decimated under
+    ``kind`` with a weighty atom term, so every ball's atoms count."""
+    mesh, atoms = synthetic_molecule(n_atoms=200, level=3, radius=10.0, seed=7)
+    cfg = DecimationConfig(cost_kind=kind, target_faces=500, lam=0.01)
+    out, trace = decimate(mesh, cfg, atoms=atoms if kind != "pb" else None)
+    return repr((trace.records, trace.rejections, trace.stale_pops, trace.quality)), \
+        out.vertices.tobytes()
+
+
+@pytest.mark.parametrize("budget", [1, 100])
+@pytest.mark.parametrize("kind", ["pb", "gb", "gb_qe"])
+def test_traces_equal_default_budget_traces(kind, budget):
+    # the ball queries and the pb candidate terms in blocks from one
+    # point or star up: the same trace bit for bit
+    if kind not in _DEFAULT_BUDGET_RUNS:
+        _DEFAULT_BUDGET_RUNS[kind] = molecule_run(kind)
+    with mock.patch.object(grid_module, "_BALL_BLOCK_TERMS", budget), \
+            mock.patch.object(costs_module, "_PB_BLOCK_TERMS", budget):
+        assert molecule_run(kind) == _DEFAULT_BUDGET_RUNS[kind]

@@ -1,11 +1,20 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import decimesh.grid as grid_module
 
 from decimesh import Atom, DecimationConfig, UniformGrid, decimate, grid_build
 from decimesh.errors import InvalidAtom, InvalidConfig
+from decimesh.grid import term_blocks
 from decimesh.shapes import icosphere
+
+from conftest import synthetic_molecule
 
 
 def brute_ball(centers, point, radius):
@@ -77,7 +86,7 @@ def test_sparse_points_keep_the_table_small():
     centers = np.array([[0.0, 0.0, 0.0], [1000.0, 0.0, 0.0], [0.0, 1000.0, 1000.0],
                         [0.3, 0.0, 0.0]])
     grid = grid_build(centers, cell_size=0.5)
-    assert len(grid._counts) <= 8 * len(centers) + 64
+    assert len(grid._cum) - 1 <= 8 * len(centers) + 64
     for point in [(0.0, 0.0, 0.0), (1000.2, 0.0, 0.0), (500.0, 500.0, 500.0)]:
         assert grid.query_ball(point, 0.5) == brute_ball(centers, point, 0.5)
 
@@ -101,10 +110,10 @@ def test_every_atom_in_exactly_one_cell():
     centers = rng.uniform(-10, 10, size=(200, 3))
     grid = UniformGrid(centers, cell_size=1.7)
     assert sorted(grid._order.tolist()) == list(range(200))
-    assert grid._counts.sum() == 200
+    assert grid._cum[-1] == 200
     cells = np.floor(centers * grid._inv)
     occupied = 0
-    for start, count in zip(grid._starts.tolist(), grid._counts.tolist()):
+    for start, count in zip(grid._cum[:-1].tolist(), np.diff(grid._cum).tolist()):
         bucket = grid._order[start:start + count]
         assert (cells[bucket] == cells[bucket[:1]]).all()
         assert (np.diff(bucket) > 0).all()
@@ -147,3 +156,114 @@ def test_bad_centers_are_invalid_atoms(centers):
     config = DecimationConfig(cost_kind="gb", target_faces=40)
     with pytest.raises(InvalidAtom):
         decimate(icosphere(1, radius=5.0), config, atoms=centers)
+
+
+def ball_budget(terms):
+    """Patch the term budget of a ball query's blocks."""
+    return mock.patch.object(grid_module, "_BALL_BLOCK_TERMS", terms)
+
+
+def brute_balls(centers, points, radius):
+    """query_balls by a scan of every (point, center) pair, with the
+    grid's own squared-distance test."""
+    owner, ids = [], []
+    for i, point in enumerate(points):
+        near = np.flatnonzero(((centers - point) ** 2).sum(axis=1) <= radius * radius)
+        owner += [i] * len(near)
+        ids += near.tolist()
+    return owner, ids
+
+
+def assert_blocked_balls_exact(grid, points, radius, budget):
+    """query_balls under ``budget`` equals the one-block query and the
+    brute-force scan, and ball_blocks covers every point once."""
+    with ball_budget(2**62):
+        whole = grid.query_balls(points, radius)
+    with ball_budget(budget):
+        owner, ids = grid.query_balls(points, radius)
+        blocks = list(grid.ball_blocks(points, radius))
+    assert owner.tolist() == whole[0].tolist()
+    assert ids.tolist() == whole[1].tolist()
+    assert (owner.tolist(), ids.tolist()) == brute_balls(grid.centers, points, radius)
+    assert sum(len(counts) for counts, _ in blocks) == len(points)
+    assert np.concatenate([ids[:0]] + [b for _, b in blocks]).tolist() == ids.tolist()
+    return blocks
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_atoms=st.integers(0, 300),
+    n_points=st.integers(0, 120),
+    cell_size=st.floats(0.3, 6.0),
+    reach=st.floats(0.0, 20.0),
+    seed=st.integers(0, 2**32 - 1),
+    budget=st.sampled_from([1, 2, 7, 100, 2**12, 2**15]),
+)
+def test_blocked_ball_queries_equal_brute_force_bit_for_bit(
+    n_atoms, n_points, cell_size, reach, seed, budget
+):
+    # radii from 0 to 20 cells, points inside and around the atoms (some
+    # on an atom), blocks from one point to all
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-15, 15, size=(n_atoms, 3)) * rng.uniform(0.05, 1.0)
+    points = rng.uniform(-25, 25, size=(n_points, 3))
+    k = min(n_atoms, n_points // 3)
+    points[:k] = centers[:k]
+    grid = grid_build(centers, cell_size=cell_size)
+    assert_blocked_balls_exact(grid, points, reach * cell_size, budget)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sizes=st.lists(st.integers(0, 50), max_size=40),
+    budget=st.integers(1, 120),
+)
+def test_term_blocks_are_the_longest_runs_under_budget(sizes, budget):
+    runs = list(term_blocks(np.cumsum(sizes, dtype=np.int64), budget))
+    assert [i for start, stop in runs for i in range(start, stop)] == list(range(len(sizes)))
+    for start, stop in runs:
+        assert stop - start == 1 or sum(sizes[start:stop]) <= budget
+        assert stop == len(sizes) or sum(sizes[start:stop + 1]) > budget
+
+
+@pytest.mark.parametrize("budget", [1, 7, 2**10, 2**15])
+def test_wide_balls_over_many_atoms_in_tiny_blocks(budget):
+    # a radius 20 cells wide over 1,000 atoms: every box spans the whole
+    # table, and at a budget of one pair each point is a block of its own
+    rng = np.random.default_rng(11)
+    centers = rng.uniform(-20, 20, size=(1000, 3))
+    grid = grid_build(centers, cell_size=2.0)
+    points = rng.uniform(-30, 30, size=(40, 3))
+    blocks = assert_blocked_balls_exact(grid, points, 40.0, budget)
+    if budget == 1:
+        assert len(blocks) == len(points)
+
+
+def test_box_counts_are_the_points_in_each_box():
+    # the summed-area counts size the blocks: each box's count is the
+    # number of atoms whose cell lies in the box, empty boxes included
+    rng = np.random.default_rng(12)
+    centers = rng.uniform(-10, 10, size=(300, 3))
+    grid = grid_build(centers, cell_size=2.5)
+    points = rng.uniform(-16, 16, size=(200, 3))
+    radii = rng.uniform(0.0, 12.0, size=200)
+    cells = np.floor(centers * grid._inv) - grid._origin
+    for point, radius in zip(points, radii):
+        lo, span = grid._boxes(point[None], radius)
+        inside = ((cells >= lo) & (cells < lo + span)).all(axis=1)
+        assert grid._box_counts(lo, span).tolist() == [int(inside.sum())]
+
+
+def test_ball_query_memory_is_bounded():
+    # the parent's one pass over every (vertex, cell) and (vertex,
+    # candidate) pair peaked at 53.7 MB here; the result is 1.5 MB
+    mesh, atoms = synthetic_molecule(n_atoms=1000, level=4, radius=10.0, seed=3)
+    grid = grid_build(atoms, cell_size=5.0)
+    tracemalloc.start()
+    try:
+        owner, ids = grid.query_balls(mesh.vertices, 5.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(mesh.vertices) == 2562 and len(ids) > 50_000
+    assert peak < 6e6

@@ -453,10 +453,12 @@ class Decimator:
     def _query_balls(self, verts):
         """Re-query the atom balls of vertex id array ``verts``, one
         block of the grid's query at a time, so no array of every
-        vertex's atom pairs is ever made."""
+        vertex's atom pairs is ever made. A ball keeps its ids as int32,
+        half the memory, since no atom set comes near 2**31 atoms."""
         balls = self._atom_balls
         first = 0
         for counts, ids in self._grid.ball_blocks(self.mesh.vertices[verts], self.params.rho):
+            ids = ids.astype(np.int32)
             end = 0
             for v, size in zip(verts[first:first + len(counts)].tolist(), counts.tolist()):
                 balls[v] = ids[end:end + size]

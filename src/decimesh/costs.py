@@ -26,10 +26,11 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import blocks
 from .errors import CandidateInfeasible, DegenerateTriangle, InvalidConfig, InvalidInput
 from .geometry import centroid as geometry_centroid
 from .geometry import cross, dist, dot, sub, triangle_quality, triangle_quality_array
-from .grid import grid_build, term_blocks
+from .grid import grid_build
 from .mesh import EdgeStar, edge_star
 from .quadrics import (
     _PACK_I,
@@ -158,12 +159,6 @@ def triangle_centroids(vertices, tris):
     return np.array(geometry_centroid(p[:, 0], p[:, 1], p[:, 2])).T
 
 
-# ring triangles times their five apexes (before the collapse and at
-# each candidate) per block of pb_candidate_costs, as gb.py's blocks
-# count node-atom pairs and pair terms
-_PB_BLOCK_TERMS = 2**15
-
-
 def _candidate_points(p1, p2, analytic):
     """(3, 4, E) candidate array {midpoint, v1, v2, analytic} per edge
     from (3, E) endpoints and (E, 3) analytic points."""
@@ -203,7 +198,7 @@ def pb_candidate_costs(vertices, stars, analytic):
     :func:`geometry.triangle_quality_array` per block of whole stars,
     the array form of the :func:`geometry.triangle_quality` that
     :func:`f_pb` sums. A block's ring triangles times those five apexes
-    number at most ``_PB_BLOCK_TERMS`` (a block holds one star at
+    number at most ``blocks.BUDGET`` (a block holds one star at
     least), so the working memory does not grow with the number of
     stars. The sums run upper ring then lower, term by term, as in
     :func:`f_pb`, and an endpoint candidate skips the ring it leaves
@@ -219,7 +214,7 @@ def pb_candidate_costs(vertices, stars, analytic):
     costs = np.empty((4, n_edges))
     # whole stars per block, by their ring triangles
     terms = 5 * np.cumsum([len(star.upper) + len(star.lower) - 2 for star in stars])
-    for start, stop in term_blocks(terms, _PB_BLOCK_TERMS):
+    for start, stop in blocks.term_blocks(terms):
         costs[:, start:stop] = _pb_block_costs(vertices, stars[start:stop],
                                                cands[:, :, start:stop])
     return cands.transpose(1, 2, 0), costs

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import blocks
 from .costs import (
     COST_KINDS,
     CollapseCandidate,
@@ -73,9 +74,9 @@ from .quadrics import minimize_quadric  # noqa: F401
 
 # edges per candidate batch: one numpy pass of the candidate engine, whose
 # arrays grow with the batch (pb's walked stars and their StarCache do
-# too, but pb_candidate_costs scores those stars in blocks of its own
-# term budget); (vertex, triangle) pairs per pass when the store is
-# rebuilt
+# too, but pb_candidate_costs scores those stars, and _atom_sums sums the
+# atom balls, in blocks of blocks.BUDGET terms); (vertex, triangle) pairs
+# per pass when the store is rebuilt
 _CHUNK = 2048
 
 _NO_ATOMS = np.empty(0, dtype=np.int64)
@@ -286,15 +287,23 @@ class Decimator:
 
     def _atom_sums(self, ends):
         """Count and (3, E) center sum of the atoms in ball(a) | ball(b)
-        of each (E, 2) edge, added by ascending id as the oracle adds."""
+        of each (E, 2) edge, added by ascending id as the oracle adds, in
+        blocks of whole edges whose two balls hold at most
+        ``blocks.BUDGET`` ids together (or one edge)."""
         parts = [self._atom_balls[v] for v in ends.ravel().tolist()]
+        sizes = np.array([len(p) for p in parts], dtype=np.int64)
         centers = self._grid.centers
-        n_edges, n_atoms = len(ends), max(len(centers), 1)
-        owner = np.repeat(np.arange(2 * n_edges) >> 1, [len(p) for p in parts])
-        keys = _sorted_unique(owner * n_atoms + np.concatenate([_NO_ATOMS, *parts]))
-        owner, ids = np.divmod(keys, n_atoms)
-        atom_sum = [np.bincount(owner, w, minlength=n_edges) for w in centers[ids].T]
-        return np.bincount(owner, minlength=n_edges), np.array(atom_sum)
+        n_atoms = max(len(centers), 1)
+        m = np.empty(len(ends), dtype=np.int64)
+        atom_sum = np.empty((3, len(ends)))
+        for start, stop in blocks.term_blocks(np.cumsum(sizes[0::2] + sizes[1::2])):
+            owner = np.repeat(np.arange(2 * (stop - start)) >> 1, sizes[2 * start:2 * stop])
+            ids = np.concatenate([_NO_ATOMS, *parts[2 * start:2 * stop]])
+            owner, ids = np.divmod(_sorted_unique(owner * n_atoms + ids), n_atoms)
+            m[start:stop] = np.bincount(owner, minlength=stop - start)
+            for row, w in zip(atom_sum, centers[ids].T):
+                row[start:stop] = np.bincount(owner, w, minlength=stop - start)
+        return m, atom_sum
 
     def _has_plane(self, v):
         """Whether each vertex of id array ``v`` has a nondegenerate

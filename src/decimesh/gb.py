@@ -18,13 +18,12 @@ never applied implicitly.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from threading import Thread
 from typing import Optional
 
 import numpy as np
 
+from . import blocks
 from .errors import (
     AtomTooCloseToSurface,
     DegenerateTriangle,
@@ -182,7 +181,7 @@ def born_radii(mesh: TriangleMesh, atoms, rule=CENTROID_1PT, eps_dist=EPS_DIST):
     strictly inside.
 
     Works on blocks of atoms against the node and normal coordinates as
-    (3, K) rows: a (B, K) array per block with B * K about 2**15
+    (3, K) rows: a (B, K) array per block of at most ``blocks.BUDGET``
     node-atom pairs, the blocks shared out over the cores. Both dot
     products add their three products in the fixed order ``(x + z) + y``,
     the order ``np.einsum("kj,kj->k")`` uses on numpy 2.4, and each row
@@ -205,21 +204,20 @@ def born_radii(mesh: TriangleMesh, atoms, rule=CENTROID_1PT, eps_dist=EPS_DIST):
     nodes = np.ascontiguousarray(nodes.T)
     normals = np.ascontiguousarray(normals.T)
     centers = np.array([a.center for a in atoms])
-    rows = min(n, max(1, _BORN_BLOCK_PAIRS // len(weights)))
-    bounds = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+    bounds = list(blocks.term_blocks(len(weights) * np.arange(1, n + 1)))
+    rows = bounds[0][1]  # the first block is the longest
     sums = np.empty(n)
     # the least squared node distance of each atom in a block that has
     # one within eps_dist; +inf elsewhere
     near = np.full(n, math.inf)
     eps2 = eps_dist * eps_dist
 
-    def work(blocks, scratch):
-        for k in blocks:
-            lo, hi = bounds[k]
+    def work(draws, scratch):
+        for lo, hi in draws:
             _flux_sums(nodes, normals, weights, centers[lo:hi], eps2,
                        scratch[:, :hi - lo], sums[lo:hi], near[lo:hi])
 
-    _share_out(work, len(bounds), lambda: np.empty((5, rows, len(weights))))
+    blocks.share_out(work, bounds, lambda: np.empty((5, rows, len(weights))))
     too_close = np.flatnonzero(near < eps2)
     if len(too_close):
         i = int(too_close[0])
@@ -262,61 +260,9 @@ def _flux_sums(nodes, normals, weights, centers, eps2, scratch, sums, near):
     dx.sum(axis=1, out=sums)
 
 
-# Node-atom pairs per block of born_radii.
-_BORN_BLOCK_PAIRS = 2**15
-
-# Pair terms per row block of g_pol. A worker's scratch for blocks of
-# this size is five arrays of 2**15 (1.3 MB), so two workers hold what
-# one block of 2**16 terms did; any size up to 2**26 keeps each block's
-# bin sums of mantissa halves below 2**53, so exact in float64 (and the
-# int64 totals for up to 2**36 terms a bin).
-_BLOCK_TERMS = 2**15
-
-
-def _cores():
-    """The number of cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _share_out(work, n_blocks, scratch):
-    """Run ``work(blocks, scratch())`` on min(cores, n_blocks) workers
-    that draw block indices from one shared iterator over
-    ``range(n_blocks)``, and return their results. Each draw is one
-    ``next`` on a range iterator, which holds the interpreter lock
-    throughout, so every block is drawn once. The calling thread makes
-    every worker's scratch arrays, so they come from its heap and not
-    from one per thread, and is itself one of the workers: one block or
-    one core runs inline. Every thread started is joined before the call
-    returns, and a worker's error is raised on the calling thread."""
-    blocks = iter(range(n_blocks))
-    n_workers = min(_cores(), n_blocks)
-    results = [None] * n_workers
-    errors = []
-
-    def run(i, arrays):
-        try:
-            results[i] = work(blocks, arrays)
-        except BaseException as exc:  # raised again below
-            errors.append(exc)
-
-    threads = [Thread(target=run, args=(i, scratch())) for i in range(1, n_workers)]
-    for thread in threads:
-        thread.start()
-    try:
-        results[0] = work(blocks, scratch())
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-    return results
-
-
 # frexp exponents run from -1073 (smallest subnormal) to 1024; bin k holds
-# exponent k - _EXP_OFFSET, and integer mantissas carry 53 bits.
+# exponent k - _EXP_OFFSET, and integer mantissas carry 53 bits. The int64
+# bins hold the sums of up to 2**36 terms a bin.
 _EXP_OFFSET = 1074
 _N_BINS = _EXP_OFFSET + 1025
 _UNIT = 1 << (_EXP_OFFSET + 53)
@@ -400,14 +346,14 @@ def g_pol(atoms, params: GBParams = GBParams(), radii=None) -> float:
 
     Each pair term is bitwise symmetric in i and j (the difference
     negates exactly, the products commute), so only the terms with
-    j >= i are evaluated, in row blocks of about 2**15 shared out over
-    the cores. The diagonal and the strict upper triangle are summed
-    exactly into per-exponent integer bins, the blocks' bins are added
-    as integers in any order, and ``diag + 2 * upper`` is rounded once:
-    the result is the correctly rounded sum of all N^2 terms, as
-    ``math.fsum`` of them gives, independent of atom order, blocking and
-    core count. An exactly zero sum is +0.0, so the energy is -0.0 when
-    tau > 0.
+    j >= i are evaluated, in row blocks of at most ``blocks.BUDGET``
+    terms (one row at least) shared out over the cores. The diagonal and
+    the strict upper triangle are summed exactly into per-exponent
+    integer bins, the blocks' bins are added as integers in any order,
+    and ``diag + 2 * upper`` is rounded once: the result is the correctly
+    rounded sum of all N^2 terms, as ``math.fsum`` of them gives,
+    independent of atom order, blocking and core count. An exactly zero
+    sum is +0.0, so the energy is -0.0 when tau > 0.
 
     Raises ``RadiiMismatch`` if ``radii`` has the wrong length, and
     ``InvalidRadius`` or ``InvalidCharge`` (naming the first bad atom),
@@ -433,23 +379,26 @@ def g_pol(atoms, params: GBParams = GBParams(), radii=None) -> float:
     if tau == 0.0:
         return 0.0
     coords = np.array([a.center for a in atoms]).T.copy()
+    # a block is a rows x (n - start) rectangle of the pair matrix: the
+    # running row widths term_blocks would cut by do not bound it (a
+    # tail block would reach twice the budget)
     starts = [0]
     while starts[-1] < n:
         start = starts[-1]
-        starts.append(min(n, start + max(1, _BLOCK_TERMS // (n - start))))
+        starts.append(min(n, start + max(1, blocks.BUDGET // (n - start))))
+    bounds = list(zip(starts, starts[1:]))
+    size = max((stop - start) * (n - start) for start, stop in bounds)
 
-    size = max((stop - start) * (n - start) for start, stop in zip(starts, starts[1:]))
-
-    def work(blocks, scratch):
+    def work(draws, scratch):
         bins = np.zeros((2, 2, _N_BINS), dtype=np.int64)
-        for k in blocks:
-            bins += _block_bins(coords, r, charges, starts[k], starts[k + 1], *scratch)
+        for start, stop in draws:
+            bins += _block_bins(coords, r, charges, start, stop, *scratch)
         return bins
 
     def scratch():
         return np.empty((4, size)), np.empty(size, dtype=np.intp)
 
-    bins = sum(_share_out(work, len(starts) - 1, scratch))
+    bins = sum(blocks.share_out(work, bounds, scratch))
     used = np.flatnonzero(bins.any(axis=(0, 1)))
     (dh, dl), (uh, ul) = bins[:, :, used].tolist()
     total = 0

@@ -12,12 +12,8 @@ import math
 
 import numpy as np
 
+from . import blocks
 from .errors import InvalidAtom, InvalidConfig
-
-
-# (point, cell row) and (point, candidate) pairs per block of a ball
-# query, as gb.py's blocks count node-atom pairs and pair terms
-_BALL_BLOCK_TERMS = 2**15
 
 # the corners of a box as 0/1 offsets along each axis, and the sign of
 # each corner's summed-area count in the box's count
@@ -25,18 +21,6 @@ _CORNERS = np.indices((2, 2, 2)).reshape(3, -1).T
 _CORNER_SIGNS = np.where(_CORNERS.sum(axis=1) % 2, 1, -1)
 
 _NONE = np.empty(0, dtype=np.int64)
-
-
-def term_blocks(terms, budget):
-    """(start, stop) of the consecutive runs of items that the blocked
-    kernels work on, from the running total ``terms`` of the items'
-    terms: each run holds at most ``budget`` terms, or one item."""
-    start = 0
-    while start < len(terms):
-        spent = terms[start - 1] if start else 0
-        stop = max(start + 1, int(np.searchsorted(terms, spent + budget, side="right")))
-        yield start, stop
-        start = stop
 
 
 @functools.lru_cache(maxsize=64)
@@ -123,12 +107,12 @@ class UniformGrid:
 
         A point's box of cells is walked as rows of cells along the last
         axis, each a contiguous run of ids. A block's (point, row) and
-        (point, candidate) pairs number at most ``_BALL_BLOCK_TERMS``
+        (point, candidate) pairs number at most ``blocks.BUDGET``
         together, counted up front from a summed-area table of the cell
         counts, except that a block holds at least one point, whose
         pairs are bounded by the table's size and the grid's points."""
         points = np.asarray(points, dtype=float).reshape(-1, 3)
-        budget = _BALL_BLOCK_TERMS
+        budget = blocks.BUDGET
         # a point's box takes about 30 words to lay out and count: the
         # boxes are laid out 1/32 of the budget in points at a time
         step = max(1, budget >> 5)
@@ -143,7 +127,7 @@ class UniformGrid:
                 yield self._ball_block(chunk, lo, span, nx, ny, radius)
                 continue
             terms = np.cumsum(nx * ny + self._box_counts(lo, span))
-            for start, stop in term_blocks(terms, budget):
+            for start, stop in blocks.term_blocks(terms):
                 yield self._ball_block(chunk[start:stop], lo[start:stop], span[start:stop],
                                        nx, ny, radius)
 

@@ -2,11 +2,12 @@ import importlib
 import types
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from decimesh import Atom, TriangleMesh
+from decimesh import Atom, TriangleMesh, blocks
 from decimesh.shapes import icosphere, octahedron, tetrahedron
 
 
@@ -124,6 +125,16 @@ EPS = 2.0**-52
 # |engine cost - exact cost| <= EXACT_ROUNDING * (size of the terms the
 # cost is the difference of) + 4 ulp of the cost
 EXACT_ROUNDING = 64 * EPS
+
+
+def block_budget(terms):
+    """Patch the one term budget of every blocked kernel."""
+    return mock.patch.object(blocks, "BUDGET", terms)
+
+
+def cores(n):
+    """Patch the core count the blocked kernels share work over."""
+    return mock.patch.object(blocks, "cores", lambda: n)
 
 
 def bits(values):

@@ -1,14 +1,11 @@
 import dataclasses
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-import decimesh.costs as costs_module
 
 from decimesh import f_ac, f_gb, f_pb, f_qe, f_vol, placement_for
 from decimesh.costs import (
@@ -32,7 +29,7 @@ from decimesh.mesh import EdgeStar, TriangleMesh, edge_star
 from decimesh.quadrics import Quadric, minimize_quadric
 from decimesh.shapes import icosphere
 
-from conftest import bits, random_rotation
+from conftest import bits, block_budget, random_rotation
 
 
 def make_star(p1, p2, upper, lower):
@@ -585,11 +582,6 @@ def test_pb_engine_exact_zeros_and_tie_order():
     assert best == [costs[2, 0]]
 
 
-def pb_budget(terms):
-    """Patch the term budget of pb_candidate_costs's blocks."""
-    return mock.patch.object(costs_module, "_PB_BLOCK_TERMS", terms)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     n_stars=st.integers(1, 60),
@@ -608,9 +600,9 @@ def test_blocked_pb_costs_equal_one_block_bit_for_bit(n_stars, max_ring, seed, b
                  make_star((0.0, 0.0, 0.0), (1.5, 0.0, 0.0), upper, lower))
     analytic = [None if k % 3 == 0 else star.p2 if k % 3 == 1 else tuple(rng.normal(size=3))
                 for k, star in enumerate(stars)]
-    with pb_budget(2**62):
+    with block_budget(2**62):
         want = pb_engine(stars, analytic, per_candidate=True)
-    with pb_budget(budget):
+    with block_budget(budget):
         got = pb_engine(stars, analytic, per_candidate=True)
     assert bits(got[0].ravel()) == bits(want[0].ravel())
     assert bits(got[1].ravel()) == bits(want[1].ravel())

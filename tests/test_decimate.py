@@ -1,12 +1,9 @@
 import heapq
 import math
-from unittest import mock
+import tracemalloc
 
 import numpy as np
 import pytest
-
-import decimesh.costs as costs_module
-import decimesh.grid as grid_module
 
 from decimesh import Atom, TriangleMesh, decimate, grid_build, validate
 from decimesh.decimate import DecimationConfig, Decimator
@@ -18,6 +15,7 @@ from conftest import (
     assert_atom_sums_equal_grid,
     assert_near_oracle,
     bench_checks,
+    block_budget,
     pinched_spheres,
     synthetic_molecule,
 )
@@ -367,10 +365,34 @@ def molecule_run(kind):
 @pytest.mark.parametrize("budget", [1, 100])
 @pytest.mark.parametrize("kind", ["pb", "gb", "gb_qe"])
 def test_traces_equal_default_budget_traces(kind, budget):
-    # the ball queries and the pb candidate terms in blocks from one
-    # point or star up: the same trace bit for bit
+    # the ball queries, the pb candidate terms and the atom sums in
+    # blocks from one point, star or edge up: the same trace bit for bit
     if kind not in _DEFAULT_BUDGET_RUNS:
         _DEFAULT_BUDGET_RUNS[kind] = molecule_run(kind)
-    with mock.patch.object(grid_module, "_BALL_BLOCK_TERMS", budget), \
-            mock.patch.object(costs_module, "_PB_BLOCK_TERMS", budget):
+    with block_budget(budget):
         assert molecule_run(kind) == _DEFAULT_BUDGET_RUNS[kind]
+
+
+def test_sum_chunk_memory_is_bounded():
+    # 10,000 atoms in the molecule's ball: the parent's one sort of the
+    # (edge, atom) keys of a whole 2,048-edge chunk peaked at 47.3 MB
+    mesh, atoms = synthetic_molecule(n_atoms=10_000, level=4, radius=10.0, seed=7)
+    dec = Decimator(mesh, DecimationConfig(cost_kind="gb_qe", target_faces=100), atoms=atoms)
+    sum_chunk, peaks = dec._sum_chunk, []
+
+    def traced(edges):
+        # the peak above what was allocated when the call began
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = sum_chunk(edges)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        return out
+
+    dec._sum_chunk = traced
+    tracemalloc.start()
+    try:
+        dec.build_queue()
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 4  # the 7,680 edges in 2,048-edge chunks
+    assert max(peaks) < 8e6, peaks

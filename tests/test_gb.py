@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import decimesh.gb as gb_module
+import decimesh.blocks as blocks_module
 
 from decimesh import (
     Atom,
@@ -38,7 +38,7 @@ from decimesh.errors import (
 )
 from decimesh.shapes import icosphere
 
-from conftest import bits, random_rotation, synthetic_molecule
+from conftest import bits, block_budget, cores, random_rotation, synthetic_molecule
 
 
 def flipped(mesh):
@@ -209,18 +209,6 @@ def born_radii_per_atom(mesh, atoms, rule=CENTROID_1PT):
     return radii
 
 
-def cores(n):
-    """Patch the core count the energetics kernels share work over."""
-    return mock.patch.object(gb_module, "_cores", lambda: n)
-
-
-def blocks(born_pairs, pair_terms):
-    """Patch the block sizes of ``born_radii`` and ``g_pol``."""
-    return mock.patch.multiple(
-        gb_module, _BORN_BLOCK_PAIRS=born_pairs, _BLOCK_TERMS=pair_terms
-    )
-
-
 _SPHERES = {}
 
 
@@ -231,12 +219,9 @@ _SPHERES = {}
     n=st.integers(1, 70),
     seed=st.integers(0, 2**32 - 1),
     workers=st.sampled_from([1, 2, 3]),
-    born_pairs=st.sampled_from([1, 100, 2**12, 2**15, 2**20]),
-    pair_terms=st.sampled_from([1, 7, 100, 2**15]),
+    budget=st.sampled_from([1, 7, 100, 2**12, 2**15, 2**20]),
 )
-def test_blocked_energetics_equal_oracles_bit_for_bit(
-    level, rule, n, seed, workers, born_pairs, pair_terms
-):
+def test_blocked_energetics_equal_oracles_bit_for_bit(level, rule, n, seed, workers, budget):
     # K runs from 20 to 3,840 nodes and the blocks from one atom (or one
     # pair row) to the whole set, on 1 to 3 workers: every radius is its
     # own row sum and G_pol an exact sum, so no bit may move
@@ -248,7 +233,7 @@ def test_blocked_energetics_equal_oracles_bit_for_bit(
     directions /= np.linalg.norm(directions, axis=1)[:, None]
     centers = directions * 6.0 * rng.random((n, 1)) ** (1.0 / 3.0)
     atoms = [Atom(center=c, charge=q) for c, q in zip(centers, rng.uniform(-2, 2, n))]
-    with cores(workers), blocks(born_pairs, pair_terms):
+    with cores(workers), block_budget(budget):
         radii = born_radii(mesh, atoms, rule=rule)
         energy = g_pol(atoms)
     assert bits(radii) == bits(born_radii_per_atom(mesh, atoms, rule))
@@ -266,7 +251,7 @@ def test_atom_too_close_in_many_blocks_names_first(workers):
     for i, node, gap in ((3, 5, 1e-8), (5, 7, 1e-9), (7, 9, 1e-10)):
         atoms[i] = Atom(center=nodes[node] - gap * unit[node], charge=1.0)
     atoms[1] = Atom(center=(5, 0, 0), charge=1.0)  # outside: reported only if none is too close
-    with cores(workers), blocks(1, 2**15):
+    with cores(workers), block_budget(1):
         with pytest.raises(AtomTooCloseToSurface) as info:
             born_radii(mesh, atoms)
     assert info.value.atom_index == 3
@@ -279,7 +264,7 @@ def test_non_positive_integrals_listed_in_order(workers):
     atoms = [Atom(center=(0, 0, 0.05 * k), charge=1.0) for k in range(12)]
     for i in (2, 5, 6, 11):
         atoms[i] = Atom(center=(3 + i, 0, 0), charge=1.0)
-    with cores(workers), blocks(80, 2**15):  # one atom per block
+    with cores(workers), block_budget(80):  # one atom per block
         with pytest.raises(NonPositiveIntegral) as info:
             born_radii(mesh, atoms)
     assert info.value.atom_indices == [2, 5, 6, 11]
@@ -299,7 +284,7 @@ def test_faceless_mesh_integrals_are_zero(n_vertices):
 def test_energetics_leave_no_thread_behind():
     mesh, atoms = synthetic_molecule(n_atoms=60, level=3, radius=10.0, seed=5)
     before = threading.active_count()
-    with cores(3), blocks(1280, 100):
+    with cores(3), block_budget(100):
         radii = born_radii(mesh, atoms)
         assert threading.active_count() == before
         g_pol(atoms, radii=radii)
@@ -309,20 +294,6 @@ def test_energetics_leave_no_thread_behind():
         atoms[40].born_radius = atoms[41].born_radius = 1e-200
         with pytest.raises(NumericalError):
             g_pol(atoms)
-    assert threading.active_count() == before
-
-
-def test_worker_error_is_raised_on_calling_thread():
-    def work(blocks, scratch):
-        for _ in blocks:
-            pass
-        if threading.current_thread() is not threading.main_thread():
-            raise NumericalError("from a worker")
-        return scratch
-
-    before = threading.active_count()
-    with cores(3), pytest.raises(NumericalError, match="from a worker"):
-        gb_module._share_out(work, 10, list)
     assert threading.active_count() == before
 
 
@@ -337,7 +308,7 @@ def test_workers_draw_every_block_once():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with cores(8), blocks(1, 1):
+        with cores(8), block_budget(1):
             for _ in range(5):
                 assert bits(born_radii(mesh, atoms)) == bits(radii)
                 assert bits([g_pol(atoms)]) == bits([energy])
@@ -347,9 +318,9 @@ def test_workers_draw_every_block_once():
 
 def test_one_block_or_one_core_runs_inline():
     mesh, atoms = synthetic_molecule(n_atoms=20, level=3, radius=10.0, seed=5)
-    no_pool = mock.patch.object(gb_module, "Thread", side_effect=AssertionError)
+    no_pool = mock.patch.object(blocks_module, "Thread", side_effect=AssertionError)
     with no_pool:
-        with cores(1), blocks(1, 1):
+        with cores(1), block_budget(1):
             radii = born_radii(mesh, atoms)
             energy = g_pol(atoms)
         # 20 atoms x 1,280 nodes and 210 pair terms: one block each
@@ -535,7 +506,7 @@ def test_gpol_equals_full_matrix_bit_for_bit(n, seed, distinct, zero_share, bloc
     rng = np.random.default_rng(seed)
     atoms = mixed_atoms(rng, n, max(1, round(distinct * n)), zero_share)
     params = GBParams()
-    with mock.patch.object(gb_module, "_BLOCK_TERMS", block):
+    with block_budget(block):
         got = g_pol(atoms, params)
     assert bits([got]) == bits([gpol_full_matrix(atoms, params)])
 

@@ -1,20 +1,16 @@
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import decimesh.grid as grid_module
-
 from decimesh import Atom, DecimationConfig, UniformGrid, decimate, grid_build
 from decimesh.errors import InvalidAtom, InvalidConfig
-from decimesh.grid import term_blocks
 from decimesh.shapes import icosphere
 
-from conftest import synthetic_molecule
+from conftest import block_budget, synthetic_molecule
 
 
 def brute_ball(centers, point, radius):
@@ -158,11 +154,6 @@ def test_bad_centers_are_invalid_atoms(centers):
         decimate(icosphere(1, radius=5.0), config, atoms=centers)
 
 
-def ball_budget(terms):
-    """Patch the term budget of a ball query's blocks."""
-    return mock.patch.object(grid_module, "_BALL_BLOCK_TERMS", terms)
-
-
 def brute_balls(centers, points, radius):
     """query_balls by a scan of every (point, center) pair, with the
     grid's own squared-distance test."""
@@ -177,9 +168,9 @@ def brute_balls(centers, points, radius):
 def assert_blocked_balls_exact(grid, points, radius, budget):
     """query_balls under ``budget`` equals the one-block query and the
     brute-force scan, and ball_blocks covers every point once."""
-    with ball_budget(2**62):
+    with block_budget(2**62):
         whole = grid.query_balls(points, radius)
-    with ball_budget(budget):
+    with block_budget(budget):
         owner, ids = grid.query_balls(points, radius)
         blocks = list(grid.ball_blocks(points, radius))
     assert owner.tolist() == whole[0].tolist()
@@ -211,19 +202,6 @@ def test_blocked_ball_queries_equal_brute_force_bit_for_bit(
     points[:k] = centers[:k]
     grid = grid_build(centers, cell_size=cell_size)
     assert_blocked_balls_exact(grid, points, reach * cell_size, budget)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    sizes=st.lists(st.integers(0, 50), max_size=40),
-    budget=st.integers(1, 120),
-)
-def test_term_blocks_are_the_longest_runs_under_budget(sizes, budget):
-    runs = list(term_blocks(np.cumsum(sizes, dtype=np.int64), budget))
-    assert [i for start, stop in runs for i in range(start, stop)] == list(range(len(sizes)))
-    for start, stop in runs:
-        assert stop - start == 1 or sum(sizes[start:stop]) <= budget
-        assert stop == len(sizes) or sum(sizes[start:stop + 1]) > budget
 
 
 @pytest.mark.parametrize("budget", [1, 7, 2**10, 2**15])

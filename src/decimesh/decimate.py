@@ -1,12 +1,16 @@
 """Greedy priority-queue edge-collapse driver: one pass per run.
 
-The queue is a lazy-deletion binary heap: every queued entry carries a
-per-edge version stamp, and a committed collapse bumps the stamps of all
-edges whose cost could have changed (those with an endpoint in the
-merged vertex's 1-ring) and drops the stamps of the retired vertex's
-edges, so stale entries are skipped on pop instead of being removed.
-Costs are always recomputed from the current mesh geometry, which keeps
-every cost kind a pure function of the live star.
+The queue is a lazy-deletion binary heap of plain-number entries
+``(cost, a * n + b, stamp, slot)``. An edge (a, b), a < b, lives in the
+slot of the one corner that runs a -> b (corner k of triangle t is slot
+``3 * t + k``); arrays indexed by slot hold the edge's current stamp, a
+push counter, and its placement. An entry is live while its stamp is
+its slot's. A commit voids the slots of the triangles it rewrites or
+removes, and re-pushes every edge whose cost could have changed (those
+with an endpoint in the merged vertex's 1-ring) under fresh stamps, so
+stale entries are skipped on pop instead of being removed. Costs are
+always recomputed from the current mesh geometry, which keeps every
+cost kind a pure function of the live star.
 
 Everything a candidate reads lives in a per-vertex store, rebuilt from
 the current positions with the queue and rewritten around each commit
@@ -28,8 +32,8 @@ positions.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -59,6 +63,7 @@ from .mesh import (
     TriangleMesh,
     _apply_collapse,
     _changed_normal_flips,
+    _sort_keys,
     can_collapse,
     edge_star,
     quality_summary,
@@ -72,14 +77,17 @@ from .quadrics import minimize_packed, plane_quadric_rows
 from .costs import placement_for, vol_quadric  # noqa: F401
 from .quadrics import minimize_quadric  # noqa: F401
 
-# edges per candidate batch: one numpy pass of the candidate engine, whose
-# arrays grow with the batch (pb's walked stars and their StarCache do
-# too, but pb_candidate_costs scores those stars, and _atom_sums sums the
-# atom balls, in blocks of blocks.BUDGET terms); (vertex, triangle) pairs
-# per pass when the store is rebuilt
+# edges per candidate batch: one numpy pass of the candidate engine, qe's
+# minimizer included, whose arrays grow with the batch (pb's walked stars
+# and their StarCache do too, but pb_candidate_costs scores those stars,
+# and _atom_sums sums the atom balls, in blocks of blocks.BUDGET terms);
+# (vertex, triangle) pairs per pass when the store is rebuilt
 _CHUNK = 2048
 
 _NO_ATOMS = np.empty(0, dtype=np.int64)
+
+# the corner after each corner of a triangle row
+_NEXT = np.array([1, 2, 0])
 
 
 def _sorted_unique(keys):
@@ -91,18 +99,40 @@ def _sorted_unique(keys):
     return keys[first]
 
 
-def _edge_keys(tris, n, mark=None):
-    """Sorted (a, b) keys, a < b, of the edges of (T, 3) triangle rows
-    over ``n`` vertices as an (E, 2) array; with a boolean vertex array
-    ``mark``, only the edges with a marked endpoint."""
-    directed = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    lo = np.minimum(directed[:, 0], directed[:, 1])
-    hi = np.maximum(directed[:, 0], directed[:, 1])
+def _edge_keys(tris, n, tri_ids=None, mark=None):
+    """Sorted keys a * n + b, a < b, of the edges of (T, 3) triangle rows
+    over ``n`` vertices, and the slot of each edge's a -> b corner: row i
+    is triangle ``tri_ids[i]`` (i by default), whose corner k has slot
+    ``3 * tri_ids[i] + k``. Retired rows (-1) have no edges, and a row
+    given twice gives its edges once. With a boolean vertex array
+    ``mark``, only the edges with a marked endpoint.
+
+    On a closed oriented mesh each edge runs a -> b in exactly one of
+    its two triangles, so every edge whose triangles are all given comes
+    out once, from that corner."""
+    src = tris.ravel()
+    dst = tris.take(_NEXT, axis=1).ravel()
+    keep = src < dst
     if mark is not None:
-        touched = mark[lo] | mark[hi]
-        lo, hi = lo[touched], hi[touched]
-    keys = _sorted_unique(lo * n + hi)
-    return np.stack([keys // n, keys % n], axis=1)
+        keep &= mark[src] | mark[dst]
+    corner = keep.nonzero()[0]
+    if tri_ids is not None:
+        row, k = np.divmod(corner, 3)
+        corner = 3 * tri_ids[row] + k
+    keys, order = _sort_keys((src * n + dst)[keep], n * n)
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first], corner[order[first]]
+
+
+def _has_plane(q):
+    """Whether each packed quadric row of ``q`` (..., 10) holds a plane,
+    i.e. its vertex's ``vertex_quadric`` does not raise
+    ``IsolatedVertex``. Every entry of the trace is a sum of nonnegative
+    terms, and each plane adds at least its unit normal's squared
+    length, 1, so the trace is positive exactly when there is a plane."""
+    return q[..., 0] + q[..., 4] + q[..., 7] + q[..., 9] > 0.0
 
 
 @dataclass
@@ -164,8 +194,8 @@ class DecimationTrace:
     def n_collapses(self):
         return len(self.records)
 
-    def reject(self, reason):
-        self.rejections[reason] = self.rejections.get(reason, 0) + 1
+    def reject(self, reason, count=1):
+        self.rejections[reason] = self.rejections.get(reason, 0) + count
 
 
 class Decimator:
@@ -195,8 +225,12 @@ class Decimator:
                 raise MissingAtoms(f"cost kind {kind!r} requires an atom set")
             self._grid = grid_build(atoms, cell_size=config.rho)
 
+        # the queue (see build_queue): heap entries, and by corner slot
+        # each edge's current stamp and placement
         self._heap = []
-        self._versions = {}
+        self._stamps = np.empty(0, dtype=np.int64)
+        self._points = np.empty((0, 3))
+        self._pushes = 0
         # the per-vertex store (see _recompute_quadric_rows), and for gb
         # and gb_qe the ascending ids of the atoms within rho of each
         # vertex
@@ -211,28 +245,33 @@ class Decimator:
     # -- candidate computation -------------------------------------------
 
     def candidate(self, a, b):
-        """(placement, cost) for edge (a, b), or None when infeasible.
+        """(placement, cost) for edge (a, b), or None when infeasible or
+        when a and b do not share exactly two triangles.
 
         This is the audit path: it runs the engine the queue runs, so it
         recomputes exactly what was queued.
         """
-        if self.config.cost_kind == "qe":
-            return self._batch_candidates(np.array([[a, b]]))[0]
-        return self._candidates([(a, b)])[0]
+        incident = self.mesh._vertex_tris
+        if len(incident[a] & incident[b]) != 2:
+            return None
+        engine = self._batch_candidates if self.config.cost_kind == "qe" else self._candidates
+        points, costs, ok = engine(np.array([[a, b]]))
+        if not ok[0]:
+            return None
+        return tuple(points[0].tolist()), costs.tolist()[0]
 
     def _candidates(self, edges):
-        """Candidates of (a, b) edges (a list or an (E, 2) array) under
-        every kind but qe, None where infeasible; one numpy pass per
-        chunk of edges."""
+        """(points (E, 3), costs (E,), feasible (E,)) of (a, b) edges (a
+        list or an (E, 2) array) under every kind but qe, in one numpy
+        pass (the queue passes at most ``_CHUNK`` edges)."""
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         score = self._star_chunk if self.config.cost_kind == "pb" else self._sum_chunk
-        out = [None] * len(edges)
-        for start in range(0, len(edges), _CHUNK):
-            slots, points, costs = score(edges[start:start + _CHUNK])
-            for i, point, cost in zip(slots, points.tolist(), costs.tolist()):
-                if cost != math.inf:
-                    out[start + i] = (tuple(point), cost)
-        return out
+        slots, scored_points, scored_costs = score(edges)
+        points = np.zeros((len(edges), 3))
+        costs = np.full(len(edges), np.inf)
+        points[slots] = scored_points
+        costs[slots] = scored_costs
+        return points, costs, costs != np.inf
 
     def _star_chunk(self, edges):
         """pb (slots, points, costs) of the edges of an (E, 2) array
@@ -305,88 +344,87 @@ class Decimator:
                 row[start:stop] = np.bincount(owner, w, minlength=stop - start)
         return m, atom_sum
 
-    def _has_plane(self, v):
-        """Whether each vertex of id array ``v`` has a nondegenerate
-        incident triangle, i.e. ``vertex_quadric`` does not raise
-        ``IsolatedVertex``. Every entry of the trace is a sum of
-        nonnegative terms, and each plane adds at least its unit
-        normal's squared length, 1, so the trace is positive exactly
-        when there is a plane."""
-        qv = self._qv
-        return qv[v, 0] + qv[v, 4] + qv[v, 7] + qv[v, 9] > 0.0
-
     def _quadric_minima(self, edges):
         """``minimize_packed`` of the summed endpoint rows of each (E, 2)
         edge (point, cost and the (4, E) candidate costs), and whether
-        both endpoints have a quadric at all (see :meth:`_has_plane`)."""
+        both endpoints have a quadric at all (see :func:`_has_plane`)."""
         q = self._qv[edges]
+        has_q = _has_plane(q).all(axis=1)
         q = q[:, 0] + q[:, 1]
         ends = self.mesh.vertices[edges]
-        return (*minimize_packed(q, ends[:, 0], ends[:, 1]),
-                self._has_plane(edges).all(axis=1))
+        return (*minimize_packed(q, ends[:, 0], ends[:, 1]), has_q)
 
     def _batch_candidates(self, edges):
-        """qe candidates of an (E, 2) edge array in one pass over the
-        packed store: ``placement_for("qe", ...)`` on the endpoints'
-        ``vertex_quadric`` per edge, bit for bit, and None where an
-        endpoint is isolated."""
+        """qe (points, costs, feasible) of an (E, 2) edge array in one
+        pass over the packed store: ``placement_for("qe", ...)`` on the
+        endpoints' ``vertex_quadric`` per edge, bit for bit, infeasible
+        where an endpoint is isolated."""
         points, costs, _, ok = self._quadric_minima(edges)
-        return [
-            ((x, y, z), cost) if k else None
-            for (x, y, z), cost, k in zip(points.tolist(), costs.tolist(), ok.tolist())
-        ]
+        return points, costs, ok
 
     # -- the queue ---------------------------------------------------------
 
-    def _push_edges(self, edges, heapify=False):
-        """Queue fresh candidates for an (E, 2) array of sorted (a, b)
-        keys, bumping their stamps; qe goes through :meth:`_push_batch`."""
-        if self.config.cost_kind == "qe":
-            self._push_batch(edges, heapify)
-            return
-        keys = list(zip(edges[:, 0].tolist(), edges[:, 1].tolist()))
-        self._enqueue(keys, self._candidates(edges), heapify)
+    def _push_edges(self, keys, slots, append=False):
+        """Queue fresh candidates for the edges with sorted keys ``keys``
+        in corner ``slots``, under fresh stamps, ``_CHUNK`` edges at a
+        time; qe goes through :meth:`_push_batch`."""
+        n = len(self.mesh.vertices)
+        qe = self.config.cost_kind == "qe"
+        for start in range(0, len(keys), _CHUNK):
+            part, where = keys[start:start + _CHUNK], slots[start:start + _CHUNK]
+            edges = np.empty((len(part), 2), dtype=np.int64)
+            np.divmod(part, n, out=(edges[:, 0], edges[:, 1]))
+            if qe:
+                self._push_batch(edges, part, where, append)
+            else:
+                self._enqueue(part, where, *self._candidates(edges), append)
 
-    def _push_batch(self, edges, heapify):
+    def _push_batch(self, edges, keys, slots, append):
         """Queue the qe candidates of an (E, 2) edge array. They are
         ``placement_for("qe", ...)`` on the endpoints' ``vertex_quadric``
         bit for bit, at every mesh size, so an exhaustive rescan
         reproduces each queued cost exactly."""
-        keys = zip(edges[:, 0].tolist(), edges[:, 1].tolist())
-        self._enqueue(keys, self._batch_candidates(edges), heapify)
+        self._enqueue(keys, slots, *self._batch_candidates(edges), append)
 
-    def _enqueue(self, keys, cands, heapify):
-        """Push one heap entry per feasible candidate; every key's stamp
-        is bumped, so older entries of these edges go stale."""
-        heap = self._heap
-        versions = self._versions
-        trace = self.trace
-        for key, cand in zip(keys, cands):
-            version = versions.get(key, 0) + 1
-            versions[key] = version
-            if cand is None:
-                trace.reject("infeasible_candidate")
-                continue
-            point, cost = cand
-            entry = (cost, key[0], key[1], version, point)
-            if heapify:
-                heap.append(entry)
-            else:
-                heapq.heappush(heap, entry)
-        if heapify:
-            heapq.heapify(heap)
+    def _enqueue(self, keys, slots, points, costs, ok, append):
+        """Give every edge a fresh stamp and its placement in its slot,
+        so older entries of these edges go stale, and push one heap
+        entry per feasible candidate; ``append`` only appends them, for
+        the caller to heapify."""
+        stamps = np.arange(self._pushes, self._pushes + len(keys))
+        self._pushes += len(keys)
+        self._stamps[slots] = stamps
+        self._points[slots] = points
+        if not ok.all():
+            self.trace.reject("infeasible_candidate", len(ok) - int(ok.sum()))
+            costs, keys, stamps, slots = costs[ok], keys[ok], stamps[ok], slots[ok]
+        entries = zip(costs.tolist(), keys.tolist(), stamps.tolist(), slots.tolist())
+        if append:
+            self._heap.extend(entries)
+            return
+        heap, push = self._heap, heapq.heappush
+        for entry in entries:
+            push(heap, entry)
+
+    def _live(self, entry):
+        """Whether heap entry ``entry`` is its edge's current one: no
+        later push or commit has restamped its slot."""
+        return self._stamps[entry[3]] == entry[2]
 
     def build_queue(self):
         """Rebuild the per-vertex store from the current positions and
         compute a candidate for every live edge."""
-        self._heap = []
-        self._versions = {}
         mesh = self.mesh
         n = len(mesh.vertices)
+        self._heap = []
+        self._stamps = np.full(mesh.triangles.size, -1, dtype=np.int64)
+        self._points = np.empty((mesh.triangles.size, 3))
+        self._pushes = 0
         self._recompute_quadric_rows(range(n))
         if self._grid is not None:
             self._query_balls(mesh.live_vertex_ids())
-        self._push_edges(_edge_keys(mesh.live_triangle_array(), n), heapify=True)
+        self._push_edges(*_edge_keys(mesh.triangles, n), append=True)
+        heapq.heapify(self._heap)
 
     def refresh(self, center, ring=None):
         """Rewrite the store rows of ``center`` (the merged vertex, the
@@ -400,27 +438,27 @@ class Decimator:
         """
         if ring is None:
             ring = self.mesh.vertex_neighbors(center)
-        edges = self._batch_refresh(center, ring)
-        return set(zip(edges[:, 0].tolist(), edges[:, 1].tolist()))
+        a, b = np.divmod(self._batch_refresh(center, ring), len(self.mesh.vertices))
+        return set(zip(a.tolist(), b.tolist()))
 
     def _batch_refresh(self, center, ring):
-        """:meth:`refresh` on numpy arrays; returns the refreshed edges
-        as a sorted (E, 2) array."""
+        """:meth:`refresh` on numpy arrays; returns the sorted keys of the
+        refreshed edges. The triangles gathered for the store rows give
+        the edges too."""
         mesh = self.mesh
         verts = sorted(ring)
         verts.append(center)
-        self._recompute_quadric_rows(verts)
+        tri_ids = self._recompute_quadric_rows(verts)
         if self._grid is not None:
             self._query_balls(np.array([center]))
 
-        incident = mesh._vertex_tris
-        rows = mesh.triangles[list(set().union(*(incident[v] for v in verts)))]
         mark = self._mark
-        mark[verts] = True
-        edges = _edge_keys(rows, len(mesh.vertices), mark)
-        mark[verts] = False
-        self._push_edges(edges)
-        return edges
+        ids = np.array(verts)
+        mark[ids] = True
+        keys, slots = _edge_keys(mesh.triangles[tri_ids], len(mesh.vertices), tri_ids, mark)
+        mark[ids] = False
+        self._push_edges(keys, slots)
+        return keys
 
     def _recompute_quadric_rows(self, verts):
         """Rewrite the store rows of ``verts`` from the current positions.
@@ -429,23 +467,22 @@ class Decimator:
         that set's order, their plane quadrics as :func:`vertex_quadric`
         does (bit for bit; zeros if all are degenerate), or under vol
         their :func:`volume_rows`. For gb and gb_qe, ``_centroids[v]``
-        sums their centroids and ``_degree[v]`` counts them.
+        sums their centroids and ``_degree[v]`` counts them. Returns the
+        ids of those triangles, vertex by vertex.
         """
         mesh = self.mesh
-        incident = mesh._vertex_tris
-        sets = [incident[v] for v in verts]
-        sizes = [len(s) for s in sets]
-        owners = np.repeat(np.asarray(verts, dtype=np.int64), sizes)
-        tri_ids = np.fromiter(
-            (t for s in sets for t in s), dtype=np.int64, count=len(owners)
-        )
+        sets = list(map(mesh._vertex_tris.__getitem__, verts))
+        sizes = list(map(len, sets))
+        ids = np.asarray(verts, dtype=np.int64)
+        owners = np.repeat(ids, sizes)
+        tri_ids = np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=len(owners))
         vol = self.config.cost_kind == "vol"
         atoms = self._grid is not None
         qv = self._qv
-        qv[verts] = 0.0
+        qv[ids] = 0.0
         if atoms:
-            self._degree[verts] = sizes
-            self._centroids[verts] = 0.0
+            self._degree[ids] = sizes
+            self._centroids[ids] = 0.0
         for start in range(0, len(owners), _CHUNK):
             part = slice(start, start + _CHUNK)
             tris = mesh.triangles[tri_ids[part]]
@@ -454,10 +491,14 @@ class Decimator:
                 np.add.at(qv, owners[part], volume_rows(mesh.vertices, tris))
                 continue
             rows, good = plane_quadric_rows(mesh.vertices, tris)
-            np.add.at(qv, owners[part][good], rows[good])
+            if good.all():
+                np.add.at(qv, owners[part], rows)
+            else:
+                np.add.at(qv, owners[part][good], rows[good])
             if atoms:
                 np.add.at(self._centroids, owners[part],
                           triangle_centroids(mesh.vertices, tris))
+        return tri_ids
 
     def _query_balls(self, verts):
         """Re-query the atom balls of vertex id array ``verts``, one
@@ -477,10 +518,7 @@ class Decimator:
     def _compact_heap(self):
         """Drop stale entries once they dominate the heap, so push cost
         stays logarithmic in the live candidate count."""
-        versions = self._versions
-        self._heap = [
-            e for e in self._heap if versions.get((e[1], e[2])) == e[3]
-        ]
+        self._heap = list(filter(self._live, self._heap))
         heapq.heapify(self._heap)
 
     # -- the greedy loop ---------------------------------------------------
@@ -488,7 +526,6 @@ class Decimator:
     def step(self, audit=None):
         """Commit the cheapest valid collapse; None when the queue is dry."""
         heap = self._heap
-        versions = self._versions
         mesh = self.mesh
         trace = self.trace
         cfg = self.config
@@ -496,36 +533,44 @@ class Decimator:
             self._compact_heap()
             heap = self._heap
         vertex_tris = mesh._vertex_tris
+        neighbors = mesh.vertex_neighbors
+        n = len(mesh.vertices)
         while heap:
-            cost, a, b, version, point = heapq.heappop(heap)
-            if versions.get((a, b)) != version:
+            entry = heapq.heappop(heap)
+            if not self._live(entry):
                 trace.stale_pops += 1
                 continue
-            check = can_collapse(mesh, a, b)
+            cost, key, stamp, slot = entry
+            a, b = divmod(key, n)
+            ta, tb = vertex_tris[a], vertex_tris[b]
+            shared = ta & tb
+            near = (neighbors(a), neighbors(b))
+            check = can_collapse(mesh, a, b, shared, near)
             if not check.ok:
                 trace.reject(check.reason)
                 continue
-            shared = vertex_tris[a] & vertex_tris[b]
-            changed = (vertex_tris[a] | vertex_tris[b]) - shared
-            flipped, nonpos = _changed_normal_flips(mesh, a, b, point, changed)
+            point = tuple(self._points[slot].tolist())
+            flipped, nonpos = _changed_normal_flips(mesh, a, b, point, (ta | tb) - shared)
             if cfg.veto_flips and nonpos:
                 trace.reject("flip_veto")
                 continue
             if audit is not None:
                 audit(
                     mesh,
-                    CollapseCandidate(a, b, point, cost, cfg.cost_kind, version),
+                    CollapseCandidate(a, b, point, cost, cfg.cost_kind, stamp),
                 )
-            # b retires with this commit: void the stamps of its edges so
-            # their queued entries pop as stale instead of as live edges
-            for x in mesh.vertex_neighbors(b):
-                versions.pop((b, x) if b < x else (x, b), None)
-            record = _apply_collapse(mesh, a, b, point, flipped)
+            # the commit rewrites or removes every triangle of b: void
+            # their slots, so the entries of b's edges pop as stale
+            self._stamps.reshape(-1, 3)[list(tb)] = -1
+            record = _apply_collapse(mesh, a, b, point, flipped, shared)
             trace.records.append(
                 TraceRecord(a, b, point, cost, mesh.n_faces,
                             flipped=len(record.flipped_triangles))
             )
-            self._batch_refresh(a, mesh.vertex_neighbors(a))
+            # a's neighbours after the commit: both ends' but the two
+            ring = near[0] | near[1]
+            ring -= {a, b}
+            self._batch_refresh(a, ring)
 
             if cfg.validate_every and len(trace.records) % cfg.validate_every == 0:
                 validate(mesh)

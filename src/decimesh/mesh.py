@@ -75,7 +75,8 @@ class TriangleMesh:
             for v in row.tolist():
                 self._vertex_tris[v].add(t)
         # triangle-row tuples are read far more often than rows change;
-        # entries are dropped whenever a collapse rewrites the row
+        # a collapse rewrites the entries of the rows it rewrites and
+        # drops those of the rows it removes
         self._row_cache = {}
 
     # -- basic queries -------------------------------------------------
@@ -140,9 +141,9 @@ class TriangleMesh:
     def vertex_neighbors(self, v):
         """Set of vertex ids sharing an edge with ``v``."""
         out = set()
-        triangle = self.triangle
+        rows = self._row_cache
         for t in self._vertex_tris[v]:
-            out.update(triangle(t))
+            out.update(rows.get(t) or self.triangle(t))
         out.discard(v)
         return out
 
@@ -542,16 +543,23 @@ class CollapseCheck:
         return self.ok
 
 
-def can_collapse(mesh: TriangleMesh, v1, v2) -> CollapseCheck:
+_OK = CollapseCheck(True, None)
+
+
+def can_collapse(mesh: TriangleMesh, v1, v2, shared=None, neighbors=None) -> CollapseCheck:
     """Decide whether collapsing (v1, v2) keeps the mesh a closed manifold.
 
     Checks, in order: the pair is an edge; the result keeps at least 4
     vertices; no rewritten triangle duplicates an existing one; the link
     condition (the common neighbors of v1 and v2 are exactly the two
     wing vertices). Returns a reasoned boolean instead of raising so the
-    decimation loop can count rejection causes.
+    decimation loop can count rejection causes. A caller that holds the
+    shared triangle set and the two ``vertex_neighbors`` sets passes
+    them as ``shared`` and ``neighbors``.
     """
-    shared = mesh._vertex_tris[v1] & mesh._vertex_tris[v2]
+    vertex_tris = mesh._vertex_tris
+    if shared is None:
+        shared = vertex_tris[v1] & vertex_tris[v2]
     if len(shared) == 0:
         return CollapseCheck(False, "not_an_edge")
     if len(shared) != 2:
@@ -559,25 +567,27 @@ def can_collapse(mesh: TriangleMesh, v1, v2) -> CollapseCheck:
     if mesh.n_vertices - 1 < 4:
         return CollapseCheck(False, "too_few_vertices")
 
-    survivors_v2 = mesh._vertex_tris[v2] - shared
+    rows = mesh._row_cache
+    triangle = mesh.triangle
     existing = set()
-    for t in mesh._vertex_tris[v1] - shared:
-        existing.add(frozenset(mesh.triangle(t)))
-    for t in survivors_v2:
-        rewritten = frozenset(v1 if v == v2 else v for v in mesh.triangle(t))
+    for t in vertex_tris[v1] - shared:
+        existing.add(frozenset(rows.get(t) or triangle(t)))
+    for t in vertex_tris[v2] - shared:
+        # each of v2's rows holds v2 once: its corners with v1 for v2
+        rewritten = frozenset(rows.get(t) or triangle(t)) - {v2} | {v1}
         if len(rewritten) < 3 or rewritten in existing:
             return CollapseCheck(False, "duplicate_triangle")
         existing.add(rewritten)
 
     wings = set()
     for t in shared:
-        for v in mesh.triangle(t):
-            if v != v1 and v != v2:
-                wings.add(v)
-    common = mesh.vertex_neighbors(v1) & mesh.vertex_neighbors(v2)
-    if common != wings:
+        wings.update(rows.get(t) or triangle(t))
+    wings -= {v1, v2}
+    if neighbors is None:
+        neighbors = (mesh.vertex_neighbors(v1), mesh.vertex_neighbors(v2))
+    if neighbors[0] & neighbors[1] != wings:
         return CollapseCheck(False, "link_condition")
-    return CollapseCheck(True, None)
+    return _OK
 
 
 @dataclass(frozen=True)
@@ -594,21 +604,29 @@ class CollapseRecord:
 
 def _changed_normal_flips(mesh, v1, v2, vbar, changed):
     """Triangle ids among ``changed`` whose normal reverses when both
-    endpoints move to vbar; pairs of (strictly flipped, degenerate-or-flipped)."""
+    endpoints move to vbar; pairs of (strictly flipped, degenerate-or-flipped).
+
+    Each normal is ``geometry.cross(sub(p1, p0), sub(p2, p0))`` of the
+    row's corners in row order, and the test is the sign of
+    ``geometry.dot`` of the normals before and after, written out in the
+    same operation order; one gather reads every corner position."""
+    ids = list(changed)
+    rows = mesh.triangles[ids]
+    moved = ((rows == v1) | (rows == v2)).tolist()
     flipped = []
     nonpos = []
-    verts = mesh.vertices
-    for t in changed:
-        ids = mesh.triangle(t)
-        before = [tuple(verts[i].tolist()) for i in ids]
-        after = [vbar if i in (v1, v2) else p for i, p in zip(ids, before)]
-        nb = geometry.cross(
-            geometry.sub(before[1], before[0]), geometry.sub(before[2], before[0])
-        )
-        na = geometry.cross(
-            geometry.sub(after[1], after[0]), geometry.sub(after[2], after[0])
-        )
-        d = geometry.dot(nb, na)
+    for t, corners, (m0, m1, m2) in zip(ids, mesh.vertices[rows].tolist(), moved):
+        (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = corners
+        ux, uy, uz = x1 - x0, y1 - y0, z1 - z0
+        wx, wy, wz = x2 - x0, y2 - y0, z2 - z0
+        nx, ny, nz = uy * wz - uz * wy, uz * wx - ux * wz, ux * wy - uy * wx
+        x0, y0, z0 = vbar if m0 else corners[0]
+        x1, y1, z1 = vbar if m1 else corners[1]
+        x2, y2, z2 = vbar if m2 else corners[2]
+        ux, uy, uz = x1 - x0, y1 - y0, z1 - z0
+        wx, wy, wz = x2 - x0, y2 - y0, z2 - z0
+        d = (nx * (uy * wz - uz * wy) + ny * (uz * wx - ux * wz)
+             + nz * (ux * wy - uy * wx))
         if d < 0.0:
             flipped.append(t)
             nonpos.append(t)
@@ -626,26 +644,28 @@ def would_flip(mesh: TriangleMesh, v1, v2, vbar) -> bool:
     return bool(nonpos)
 
 
-def _apply_collapse(mesh, v1, v2, vbar, flipped) -> CollapseRecord:
-    """Bookkeeping of a collapse whose legality was already established."""
-    shared = mesh._vertex_tris[v1] & mesh._vertex_tris[v2]
+def _apply_collapse(mesh, v1, v2, vbar, flipped, shared=None) -> CollapseRecord:
+    """Bookkeeping of a collapse whose legality was already established;
+    ``shared`` is the two triangles of the edge, if the caller holds it."""
+    if shared is None:
+        shared = mesh._vertex_tris[v1] & mesh._vertex_tris[v2]
+    vertex_tris = mesh._vertex_tris
     tris = mesh.triangles
     row_cache = mesh._row_cache
-    rewritten = sorted(mesh._vertex_tris[v2] - shared)
+    rewritten = sorted(vertex_tris[v2] - shared)
     for t in rewritten:
-        row = tris[t]
-        for k in range(3):
-            if row[k] == v2:
-                row[k] = v1
-        row_cache.pop(t, None)
-        mesh._vertex_tris[v1].add(t)
+        # a valid row holds v2 once
+        row = list(row_cache.get(t) or tris[t].tolist())
+        k = row.index(v2)
+        tris[t, k] = row[k] = v1
+        row_cache[t] = tuple(row)
+    vertex_tris[v1].update(rewritten)
 
     removed = sorted(shared)
     for t in removed:
-        for v in mesh.triangle(t):
-            mesh._vertex_tris[v].discard(t)
+        for v in row_cache.pop(t, None) or tris[t].tolist():
+            vertex_tris[v].discard(t)
         tris[t] = -1
-        row_cache.pop(t, None)
         mesh._tri_alive[t] = False
     # rewritten rows already replaced v2, so clear what remains
     mesh._vertex_tris[v2].clear()

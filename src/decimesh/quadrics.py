@@ -227,8 +227,8 @@ def minimize_quadric(q: Quadric, p1, p2):
 
 
 # upper-triangle index pairs (i, j) of p p^T in packed Quadric order
-_PACK_I = [0, 0, 0, 0, 1, 1, 1, 2, 2, 3]
-_PACK_J = [0, 1, 2, 3, 1, 2, 3, 2, 3, 3]
+_PACK_I = np.array([0, 0, 0, 0, 1, 1, 1, 2, 2, 3])
+_PACK_J = np.array([0, 1, 2, 3, 1, 2, 3, 2, 3, 3])
 
 
 def plane_quadric_rows(vertices, tris):
@@ -259,7 +259,12 @@ def evaluate_packed(q, x, y, z):
     """``Quadric.evaluate`` of (E, 10) packed quadrics at coordinate
     arrays that broadcast against (E,), such as (K, E) for K candidate
     points per edge; bit for bit, in the scalar operation order."""
-    xx, xy, xz, xw, yy, yz, yw, zz, zw, ww = np.ascontiguousarray(q.T)
+    return _evaluate(np.ascontiguousarray(q.T), x, y, z)
+
+
+def _evaluate(rows, x, y, z):
+    """:func:`evaluate_packed` of the (10, E) rows of packed quadrics."""
+    xx, xy, xz, xw, yy, yz, yw, zz, zw, ww = rows
     return (
         xx * x * x + yy * y * y + zz * z * z + ww
         + 2.0 * (xy * x * y + xz * x * z + yz * y * z
@@ -277,7 +282,8 @@ def minimize_packed(q, p1, p2):
     p2 and the returned point (NaN as ``inf`` but at the midpoint), and
     ``costs`` is its last row.
     """
-    xx, xy, xz, xw, yy, yz, yw, zz, zw, ww = np.ascontiguousarray(q.T)
+    qt = np.ascontiguousarray(q.T)
+    xx, xy, xz, xw, yy, yz, yw, zz, zw, ww = qt
     with np.errstate(all="ignore"):
         c1 = yy * zz - yz * yz
         c2 = xy * zz - yz * xz
@@ -324,7 +330,7 @@ def minimize_packed(q, p1, p2):
 
         # the cheapest candidate; ties and NaN (no analytic point)
         # resolve as the scalar loop's strict "<" does
-        costs = evaluate_packed(q, points[..., 0], points[..., 1], points[..., 2])
+        costs = _evaluate(qt, points[..., 0], points[..., 1], points[..., 2])
         costs[1:][np.isnan(costs[1:])] = np.inf
     pick = np.argmin(costs, axis=0)
     rows = np.arange(len(pick))

@@ -293,6 +293,21 @@ def assert_near_oracle(checks, dec, grid, edges, got, exact_every=0):
     return same
 
 
+def as_candidates(points, costs, feasible):
+    """The candidate engine's arrays as the audit path gives them:
+    (placement, cost) per edge, None where infeasible."""
+    return [(tuple(p), c) if ok else None
+            for p, c, ok in zip(points.tolist(), costs.tolist(), feasible.tolist())]
+
+
+def live_entries(dec):
+    """The live entries of ``dec``'s queue as (cost, a, b, placement),
+    by the liveness check the queue itself pops and compacts with."""
+    n = len(dec.mesh.vertices)
+    return [(e[0], *divmod(e[1], n), tuple(dec._points[e[3]].tolist()))
+            for e in dec._heap if dec._live(e)]
+
+
 def assert_atom_sums_equal_grid(dec, grid, edges):
     """The engine's atom count and center sum of each edge, from the
     cached per-vertex balls, equal ``np.sum`` over a fresh

@@ -17,7 +17,7 @@ from decimesh.costs import (
     ring_qualities,
     vol_quadric,
 )
-from decimesh.decimate import DecimationConfig, Decimator, _edge_keys
+from decimesh.decimate import DecimationConfig, Decimator
 from decimesh.errors import (
     CandidateInfeasible,
     DegenerateTriangle,
@@ -614,7 +614,7 @@ def test_pb_placements_memory_is_bounded():
     mesh = icosphere(4, radius=10.0)
     dec = Decimator(mesh, DecimationConfig(cost_kind="pb", target_faces=100))
     dec._recompute_quadric_rows(range(len(mesh.vertices)))
-    edges = _edge_keys(mesh.live_triangle_array(), len(mesh.vertices))[:2048]
+    edges = np.array(sorted(mesh.edges()))[:2048]
     stars = [edge_star(mesh, a, b) for a, b in edges.tolist()]
     analytic = dec._quadric_minima(edges)[0]
     tracemalloc.start()

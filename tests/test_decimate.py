@@ -1,12 +1,12 @@
-import heapq
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from decimesh import Atom, TriangleMesh, decimate, grid_build, validate
-from decimesh.decimate import DecimationConfig, Decimator
+from decimesh.decimate import DecimationConfig, Decimator, _edge_keys
 from decimesh.errors import InvalidConfig, InvalidInput, MissingAtoms
 from decimesh.mesh import can_collapse, quality_summary, _changed_normal_flips
 from decimesh.shapes import icosphere, octahedron, tetrahedron
@@ -16,9 +16,21 @@ from conftest import (
     assert_near_oracle,
     bench_checks,
     block_budget,
+    live_entries,
     pinched_spheres,
     synthetic_molecule,
 )
+
+
+def plant(dec, a, b, point, cost=-1e9):
+    """Queue (point, cost) for edge (a, b), a < b, through the queue's
+    own push path: a fresh stamp, so the edge's older entries go stale."""
+    n = len(dec.mesh.vertices)
+    keys, slots = _edge_keys(dec.mesh.triangles, n)
+    i = int(np.searchsorted(keys, a * n + b))
+    assert keys[i] == a * n + b
+    dec._enqueue(keys[i:i + 1], slots[i:i + 1], np.array([point]), np.array([cost]),
+                 np.array([True]), append=False)
 
 
 def torus(nu=8, nv=8, big=3.0, small=1.0):
@@ -163,11 +175,9 @@ def test_refresh_leaves_one_valid_entry_per_edge(octa):
     dec.build_queue()
     rec = dec.step()
     refreshed = dec.refresh(rec.v1)
+    live = live_entries(dec)
     for key in refreshed:
-        current = dec._versions[key]
-        entries = [
-            e for e in dec._heap if (e[1], e[2]) == key and e[3] == current
-        ]
+        entries = [e for e in live if (e[1], e[2]) == key]
         assert len(entries) == 1
 
 
@@ -176,9 +186,10 @@ def test_stale_entries_are_skipped(octa):
     dec = Decimator(octa, cfg)
     dec.build_queue()
     key = next(octa.edges())
-    # invalidate the edge and plant an irresistible stale entry
-    dec._versions[key] += 1
-    heapq.heappush(dec._heap, (-1e9, key[0], key[1], dec._versions[key] - 1, (0.0, 0.0, 0.0)))
+    # plant an irresistible entry, then requeue the edge over it, so the
+    # planted entry is stale
+    plant(dec, *key, (0.0, 0.0, 0.0))
+    plant(dec, *key, *dec.candidate(*key))
     before = octa.n_faces
     dec.step()
     assert dec.trace.stale_pops >= 1
@@ -189,9 +200,7 @@ def test_flip_veto_rejects_planted_candidate(octa):
     cfg = DecimationConfig(cost_kind="qe", target_faces=4, veto_flips=True)
     dec = Decimator(octa, cfg)
     dec.build_queue()
-    key = (0, 4)
-    dec._versions[key] += 1
-    heapq.heappush(dec._heap, (-1e9, 0, 4, dec._versions[key], (-4.0, 0.0, 0.0)))
+    plant(dec, 0, 4, (-4.0, 0.0, 0.0))
     dec.step()
     assert dec.trace.rejections.get("flip_veto") == 1
     assert all(r.flipped == 0 for r in dec.trace.records)
@@ -201,9 +210,7 @@ def test_flip_applied_when_veto_disabled(octa):
     cfg = DecimationConfig(cost_kind="qe", target_faces=4, veto_flips=False)
     dec = Decimator(octa, cfg)
     dec.build_queue()
-    key = (0, 4)
-    dec._versions[key] += 1
-    heapq.heappush(dec._heap, (-1e9, 0, 4, dec._versions[key], (-4.0, 0.0, 0.0)))
+    plant(dec, 0, 4, (-4.0, 0.0, 0.0))
     rec = dec.step()
     assert (rec.v1, rec.v2) == (0, 4)
     assert dec.trace.records[0].flipped > 0
@@ -304,17 +311,80 @@ def test_retired_vertex_entries_go_stale(kind):
     dec = Decimator(mesh, cfg, atoms=atoms)
     dec.build_queue()
     zombies = 0
+    n = len(mesh.vertices)
     while mesh.n_faces > 80:
         rec = dec.step()
         assert rec is not None
         alive = mesh._vertex_alive
-        for _, a, b, version, _ in dec._heap:
+        for entry in dec._heap:
+            a, b = divmod(entry[1], n)
             if not (alive[a] and alive[b]):
-                assert dec._versions.get((a, b)) != version
+                assert not dec._live(entry)
                 zombies += 1
     assert zombies > 0
     assert "not_an_edge" not in dec.trace.rejections
     assert dec.trace.stale_pops > 0
+
+
+@pytest.mark.parametrize("kind", ["qe", "vol", "pb", "gb", "gb_qe"])
+def test_candidate_of_a_non_edge_is_none(kind):
+    """The audit path scores edges only: two vertices that share no
+    triangle, or one vertex twice, have no candidate under any kind."""
+    mesh, atoms = synthetic_molecule(n_atoms=10, level=2, radius=5.0, seed=8)
+    dec = Decimator(mesh, DecimationConfig(cost_kind=kind, target_faces=80), atoms=atoms)
+    dec.build_queue()
+    assert 161 not in mesh.vertex_neighbors(0)
+    assert dec.candidate(0, 161) is None
+    assert dec.candidate(0, 0) is None
+    assert dec.candidate(0, min(mesh.vertex_neighbors(0))) is not None
+
+
+def test_qe_commit_python_calls():
+    """Python function calls per qe commit on the level-4 sphere (5,120
+    to 4,608 faces), counted with ``sys.setprofile``: unlike a time, a
+    count does not move with the host. A commit makes 51 here (numpy
+    2.4, Python 3.11), 18 of them in numpy's own Python-level wrappers
+    (``errstate``, ``ndarray.all``, ``sort``, ``repeat``, ``argmin``),
+    whose number changes between numpy versions; the bound leaves room
+    for twice as many. Heap entries carrying placement tuples, a version
+    dict keyed by edge tuples and a neighbourhood walked once per check
+    made 244."""
+    mesh = icosphere(4, radius=10.0)
+    dec = Decimator(mesh, DecimationConfig(cost_kind="qe", target_faces=4608))
+    dec.build_queue()
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        while mesh.n_faces > 4608:
+            assert dec.step() is not None
+    finally:
+        sys.setprofile(None)
+    assert calls / 256 < 80, calls / 256
+
+
+def test_qe_queue_memory_per_edge():
+    """Bytes a qe Decimator keeps once its queue is built on the level-5
+    sphere (30,720 edges), per edge, by tracemalloc: the per-vertex
+    store, the heap of plain-number entries and the stamp and placement
+    arrays by corner slot. 291 B here; the bound leaves 50 B for other
+    Python and numpy versions. Entries that carried placement tuples,
+    with a version dict keyed by edge tuples, kept 440 B."""
+    mesh = icosphere(5, radius=10.0)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        dec = Decimator(mesh, DecimationConfig(cost_kind="qe", target_faces=1000))
+        dec.build_queue()
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert len(dec._heap) == 30720
+    assert kept / 30720 < 340, kept / 30720
 
 
 def test_bulk_qe_run_records_no_not_an_edge():

@@ -12,7 +12,7 @@ import pytest
 
 from decimesh import Atom, can_collapse, collapse_edge, grid_build, placement_for
 from decimesh.costs import _volume_row, pb_placements
-from decimesh.decimate import DecimationConfig, Decimator, _edge_keys
+from decimesh.decimate import DecimationConfig, Decimator, _has_plane
 from decimesh.errors import CandidateInfeasible, IsolatedVertex
 from decimesh.geometry import centroid
 from decimesh.mesh import edge_star
@@ -27,10 +27,12 @@ from decimesh.quadrics import (
 from decimesh.shapes import icosphere
 
 from conftest import (
+    as_candidates,
     assert_atom_sums_equal_grid,
     assert_near_oracle,
     bench_checks,
     bits,
+    live_entries,
     random_triangle,
 )
 
@@ -95,8 +97,8 @@ def test_batch_candidates_equal_minimize_quadric(flatten):
         mesh.vertices[:, 2] *= 1e-7
     dec = Decimator(mesh, DecimationConfig(cost_kind="qe", target_faces=100))
     dec.build_queue()
-    edges = _edge_keys(mesh.live_triangle_array(), len(mesh.vertices))
-    got = dec._batch_candidates(edges)
+    edges = np.array(sorted(mesh.edges()))
+    got = as_candidates(*dec._batch_candidates(edges))
     singular = 0
     for (a, b), cand in zip(edges.tolist(), got):
         q = vertex_quadric(mesh, a) + vertex_quadric(mesh, b)
@@ -123,9 +125,9 @@ def test_qe_candidate_equals_placement_for(level):
     for a, b in mesh.edges():
         assert same_candidate(dec.candidate(a, b), oracle_qe(mesh, a, b))
     # and so is what the queue holds
-    live = [e for e in dec._heap if dec._versions.get((e[1], e[2])) == e[3]]
+    live = live_entries(dec)
     assert len(live) > 0.9 * len(list(mesh.edges()))
-    for cost, a, b, _, point in live:
+    for cost, a, b, point in live:
         assert same_candidate((point, cost), oracle_qe(mesh, a, b))
 
 
@@ -193,8 +195,8 @@ def test_isolated_vertex_keeps_its_meaning():
         dec = Decimator(mesh.copy(), DecimationConfig(cost_kind=kind, target_faces=60),
                         atoms=atoms if kind != "qe" else None)
         dec.build_queue()
-        assert not dec._has_plane([v])[0]
-        assert dec._has_plane(ring).all()
+        assert not _has_plane(dec._qv[v])
+        assert _has_plane(dec._qv[ring]).all()
         for u in ring:
             a, b = min(u, v), max(u, v)
             got = dec.candidate(a, b)
@@ -234,7 +236,8 @@ def assert_engine_near_oracle(dec, atoms, exact_every=10):
     mesh = dec.mesh
     grid = grid_build(atoms, cell_size=dec.config.rho)
     edges = sorted(mesh.edges())
-    assert_near_oracle(bench_checks(), dec, grid, edges, dec._candidates(edges), exact_every)
+    got = as_candidates(*dec._candidates(edges))
+    assert_near_oracle(bench_checks(), dec, grid, edges, got, exact_every)
     if dec.config.cost_kind != "vol":
         return assert_atom_sums_equal_grid(dec, grid, edges)
     return [len(grid.query_edge(mesh.position(a), mesh.position(b), dec.config.rho))
@@ -287,9 +290,9 @@ def test_engine_equals_placement_for_at_isolated_vertex(kind):
     cfg = DecimationConfig(cost_kind=kind, target_faces=100, lam=0.5)
     dec = Decimator(mesh, cfg, atoms=atoms if kind != "vol" else None)
     dec.build_queue()
-    assert not dec._has_plane([0])[0]
+    assert not _has_plane(dec._qv[0])
     assert_engine_near_oracle(dec, atoms)
-    got = dec._candidates([(0, u) for u in ring])
+    got = as_candidates(*dec._candidates([(0, u) for u in ring]))
     if kind == "gb_qe":
         assert got == [None] * len(ring)
     else:

@@ -25,7 +25,7 @@ from .gb import (
 )
 from .io import load_atoms, load_mesh, save_mesh
 from .mesh import validate as validate_mesh
-from .report import HarnessParams, report_format, run_compare
+from .report import HarnessParams, check_sweep, report_format, run_compare
 
 
 class UsageError(InputError):
@@ -146,8 +146,6 @@ def _cmd_energy(args):
 def _cmd_compare(args):
     for path in args.report:
         report_format(path)
-    mesh = load_mesh(args.mesh)
-    atoms = load_atoms(args.atoms)
     costs = [c.strip() for c in args.costs.split(",") if c.strip()]
     targets = [t.strip() for t in args.targets.split(",") if t.strip()]
     params = HarnessParams(
@@ -157,6 +155,9 @@ def _cmd_compare(args):
         eps_w=args.eps_w,
         quadrature=args.quadrature,
     )
+    check_sweep(costs, params)
+    mesh = load_mesh(args.mesh)
+    atoms = load_atoms(args.atoms)
     report = run_compare(mesh, atoms, costs, targets, params=params)
     for path in args.report:
         report.write(path)

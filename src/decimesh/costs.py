@@ -33,11 +33,11 @@ from .geometry import cross, dist, dot, sub, triangle_quality, triangle_quality_
 from .grid import grid_build
 from .mesh import EdgeStar, edge_star
 from .quadrics import (
-    _PACK_I,
-    _PACK_J,
     Quadric,
     f_qe,
+    first_cheapest,
     minimize_quadric,
+    packed_outer,
     vertex_quadric,
 )
 
@@ -134,13 +134,16 @@ def f_pb(star: EdgeStar, vbar) -> float:
 
 # --- the batched candidate engine -------------------------------------------
 #
-# The Decimator scores a whole chunk of edges at once. vol, gb and gb_qe
-# read only sums over each star's triangles and atoms, which it keeps per
-# vertex (from :func:`volume_rows` and :func:`triangle_centroids`); they
-# add in another order than the scalar oracles walk the star, so these
-# costs agree with ``placement_for`` up to rounding. pb walks each star
-# and agrees up to the last bits of ``arccos``. An analytic candidate
-# comes as an (E, 3) array with NaN rows for "none".
+# The Decimator scores a whole chunk of edges at once, each kind on the
+# one (3, 4, E) ``quadrics.candidate_set`` {midpoint, v1, v2, quadric
+# point} that ``minimize_packed`` returns, with a NaN fourth point where
+# an endpoint has no quadric; ``first_cheapest`` picks. vol, gb and
+# gb_qe read only sums over each star's triangles and atoms, which it
+# keeps per vertex (from :func:`volume_rows` and
+# :func:`triangle_centroids`); they add in another order than the scalar
+# oracles walk the star, so these costs agree with ``placement_for`` up
+# to rounding. pb walks each star and agrees up to the last bits of
+# ``arccos``.
 
 
 def volume_rows(vertices, tris):
@@ -148,8 +151,7 @@ def volume_rows(vertices, tris):
     :func:`_volume_row` of its corners in row order: 36 times the term
     the triangle adds to :func:`vol_quadric`, up to rounding."""
     p = vertices[tris].T
-    row = np.array(_volume_row(p[:, 0], p[:, 1], p[:, 2]))
-    return (row[_PACK_I] * row[_PACK_J]).T
+    return packed_outer(np.array(_volume_row(p[:, 0], p[:, 1], p[:, 2])))
 
 
 def triangle_centroids(vertices, tris):
@@ -159,42 +161,18 @@ def triangle_centroids(vertices, tris):
     return np.array(geometry_centroid(p[:, 0], p[:, 1], p[:, 2])).T
 
 
-def _candidate_points(p1, p2, analytic):
-    """(3, 4, E) candidate array {midpoint, v1, v2, analytic} per edge
-    from (3, E) endpoints and (E, 3) analytic points."""
-    cands = np.empty((3, 4, p1.shape[1]))
-    cands[:, 1] = p1
-    cands[:, 2] = p2
-    cands[:, 0] = 0.5 * (cands[:, 1] + cands[:, 2])
-    cands[:, 3] = np.asarray(analytic, dtype=float).reshape(-1, 3).T
-    return cands
+def pb_placements(vertices, stars, cands):
+    """``placement_for("pb", ...)`` for a chunk of stars and their
+    (3, 4, E) candidates in one numpy pass: (points (E, 3), costs (E,)),
+    cost ``inf`` where no candidate survives."""
+    return first_cheapest(cands, pb_candidate_costs(vertices, stars, cands))
 
 
-def _pick(cands, costs):
-    """The first cheapest of (4, E, 3) candidates per edge, as
-    ``placement_for``'s strict ``<`` picks it: (points (E, 3), costs
-    (E,))."""
-    pick = np.argmin(costs, axis=0)
-    edge_ids = np.arange(costs.shape[1])
-    return cands[pick, edge_ids], costs[pick, edge_ids]
-
-
-def pb_placements(vertices, stars, analytic):
-    """``placement_for("pb", ...)`` for a chunk of stars in one numpy pass.
-
-    ``analytic`` is the (E, 3) quadric-optimal candidate of each star,
-    NaN where there is none. Returns (points (E, 3), costs (E,)): the
-    first cheapest of {midpoint, v1, v2, analytic} per star, with cost
-    ``inf`` where no candidate survives.
-    """
-    return _pick(*pb_candidate_costs(vertices, stars, analytic))
-
-
-def pb_candidate_costs(vertices, stars, analytic):
-    """:func:`f_pb` of every candidate of every star, batched.
+def pb_candidate_costs(vertices, stars, cands):
+    """:func:`f_pb` of the (3, 4, E) candidates of every star, batched.
 
     Evaluates every ring triangle before the collapse and at each
-    candidate {midpoint, v1, v2, analytic} together, in one call of
+    candidate together, in one call of
     :func:`geometry.triangle_quality_array` per block of whole stars,
     the array form of the :func:`geometry.triangle_quality` that
     :func:`f_pb` sums. A block's ring triangles times those five apexes
@@ -202,22 +180,19 @@ def pb_candidate_costs(vertices, stars, analytic):
     least), so the working memory does not grow with the number of
     stars. The sums run upper ring then lower, term by term, as in
     :func:`f_pb`, and an endpoint candidate skips the ring it leaves
-    unchanged, so those terms are exactly zero. Returns (candidates
-    (4, E, 3), costs (4, E)) with ``inf`` for a candidate that flattens
-    a ring triangle and for every candidate of a star that is already
-    flat (where the scalar path raises). Agrees with :func:`f_pb` up to
-    the last bits of ``arccos``.
+    unchanged, so those terms are exactly zero. Returns the (4, E)
+    costs, ``inf`` for a candidate that flattens a ring triangle and
+    for every candidate of a star that is already flat (where the
+    scalar path raises). Agrees with :func:`f_pb` up to the last bits
+    of ``arccos``.
     """
-    n_edges = len(stars)
-    ends = vertices.take([v for star in stars for v in (star.v1, star.v2)], axis=0)
-    cands = _candidate_points(ends[0::2].T, ends[1::2].T, analytic)
-    costs = np.empty((4, n_edges))
+    costs = np.empty((4, len(stars)))
     # whole stars per block, by their ring triangles
     terms = 5 * np.cumsum([len(star.upper) + len(star.lower) - 2 for star in stars])
     for start, stop in blocks.term_blocks(terms):
         costs[:, start:stop] = _pb_block_costs(vertices, stars[start:stop],
                                                cands[:, :, start:stop])
-    return cands.transpose(1, 2, 0), costs
+    return costs
 
 
 def _pb_block_costs(vertices, stars, cands):
@@ -271,19 +246,17 @@ class StarSums(NamedTuple):
     atom_sum: np.ndarray  # (3, E)
 
 
-def gb_placements(p1, p2, analytic, quadric_costs, sums, lam):
+def gb_placements(cands, quadric_costs, sums, lam):
     """``placement_for("gb"|"gb_qe", ...)`` for E edges from their sums.
 
-    ``p1``, ``p2`` are the (3, E) endpoints and ``analytic`` the (E, 3)
-    ``minimize_quadric`` point of the packed endpoint sums.
-    ``quadric_costs`` picks the first term: for gb_qe, the (4, E) costs
-    of those sums at the four candidates, as ``minimize_packed`` returns
-    them (infeasible without quadrics); for gb, None: the edge length.
-    :func:`f_ac`'s expanded form is evaluated at {midpoint, v1, v2,
-    analytic}. Returns (points (E, 3), costs (E,)), cost ``inf``
-    where no candidate survives.
+    ``cands`` and ``quadric_costs`` are ``minimize_packed``'s (3, 4, E)
+    candidates and (4, E) costs for the packed endpoint sums; the costs
+    are the first term for gb_qe, and for gb, None, the edge length is.
+    :func:`f_ac`'s expanded form is evaluated at each candidate. Returns
+    (points (E, 3), costs (E,)), cost ``inf`` where no candidate
+    survives.
     """
-    cands = _candidate_points(p1, p2, analytic)
+    p1, p2 = cands[:, 1], cands[:, 2]
     with np.errstate(invalid="ignore", over="ignore"):
         d2 = (cands - p2[:, None]) / 3.0
         d1 = (cands - p1[:, None]) / 3.0
@@ -295,16 +268,14 @@ def gb_placements(p1, p2, analytic, quadric_costs, sums, lam):
         atom_term = np.abs(sums.m * sq_change + 2.0 * dot(shift, sums.atom_sum))
         atom_term[:, sums.m == 0] = 0.0
 
-        if quadric_costs is None:
+        first = quadric_costs
+        if first is None:
             dx, dy, dz = p1 - p2
             first = np.broadcast_to(np.sqrt(dx * dx + dy * dy + dz * dz), (4, p1.shape[1]))
-        else:
-            first = quadric_costs
         costs = first if lam == 0.0 else first + lam * atom_term
-    costs = np.where(np.isnan(costs), np.inf, costs)
-    # no analytic point: no quadric, so gb_qe has no candidate at all
-    costs[3 if quadric_costs is None else slice(None), np.isnan(cands[0, 3])] = np.inf
-    return _pick(cands.transpose(1, 2, 0), costs)
+    # a NaN fourth point (no quadric) is never picked: where the cost
+    # reads the point it is NaN, so inf, and elsewhere it ties the midpoint
+    return first_cheapest(cands, np.where(np.isnan(costs), np.inf, costs))
 
 
 # --- atomic-center cost -----------------------------------------------------

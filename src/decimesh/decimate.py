@@ -15,11 +15,13 @@ cost kind a pure function of the live star.
 Everything a candidate reads lives in a per-vertex store, rebuilt from
 the current positions with the queue and rewritten around each commit
 (memoryless simplification in the sense of Lindstrom & Turk). Candidates
-are computed in batches: ``qe`` from the packed quadrics, minimized bit
-for bit as ``minimize_quadric`` does; vol, gb and gb_qe from per-vertex
-sums less the two wing triangles, with no edge star, which equal
-``placement_for`` up to the rounding of their summation order; pb by
-walking each chunk of stars once (``mesh.edge_star``).
+are computed in batches from the one candidate set {midpoint, v1, v2,
+quadric point} of ``quadrics.minimize_packed``, bit for bit as
+``minimize_quadric``: qe and vol (on its volume form) take the quadric
+point, pb, gb and gb_qe score all four. vol, gb and gb_qe read
+per-vertex sums less the two wing triangles, with no edge star, and
+equal ``placement_for`` up to the rounding of their summation order; pb
+walks each chunk of stars once (``mesh.edge_star``).
 
 A run builds the queue once and commits collapses until the face target
 is reached or the queue runs dry. Nothing moves a vertex except a
@@ -254,17 +256,18 @@ class Decimator:
         incident = self.mesh._vertex_tris
         if len(incident[a] & incident[b]) != 2:
             return None
-        engine = self._batch_candidates if self.config.cost_kind == "qe" else self._candidates
-        points, costs, ok = engine(np.array([[a, b]]))
+        points, costs, ok = self._candidates([(a, b)])
         if not ok[0]:
             return None
         return tuple(points[0].tolist()), costs.tolist()[0]
 
     def _candidates(self, edges):
         """(points (E, 3), costs (E,), feasible (E,)) of (a, b) edges (a
-        list or an (E, 2) array) under every kind but qe, in one numpy
-        pass (the queue passes at most ``_CHUNK`` edges)."""
+        list or an (E, 2) array), in one numpy pass (the queue passes at
+        most ``_CHUNK`` edges)."""
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        if self.config.cost_kind == "qe":
+            return self._batch_candidates(edges)
         score = self._star_chunk if self.config.cost_kind == "pb" else self._sum_chunk
         slots, scored_points, scored_costs = score(edges)
         points = np.zeros((len(edges), 3))
@@ -284,9 +287,8 @@ class Decimator:
             except (NotAnEdge, StarNotDisk):
                 continue
             slots.append(i)
-        analytic, _, _, has_q = self._quadric_minima(edges[slots])
-        analytic[~has_q] = np.nan
-        return (slots, *pb_placements(self.mesh.vertices, stars, analytic))
+        cands = self._quadric_minima(edges[slots])[0]
+        return (slots, *pb_placements(self.mesh.vertices, stars, cands))
 
     def _sum_chunk(self, edges):
         """vol, gb and gb_qe (slots, points, costs) of the edges of an
@@ -312,17 +314,16 @@ class Decimator:
         if self.config.cost_kind == "vol":
             w = volume_rows(vertices, wing_tris)
             q = (self._qv[a] + self._qv[b] - w[0::2] - w[1::2]) * (1.0 / 36.0)
-            return (slots, *minimize_packed(q, vertices[a], vertices[b])[:2])
-        analytic, _, quadric_costs, has_q = self._quadric_minima(ends)
-        analytic[~has_q] = np.nan
+            cands, costs = minimize_packed(q, vertices[a], vertices[b])
+            return slots, cands[:, 3].T, costs[3]
+        cands, quadric_costs = self._quadric_minima(ends)
         w = triangle_centroids(vertices, wing_tris)
         cen, ring = self._centroids, self._degree - 2
         sums = StarSums((cen[b] - w[0::2] - w[1::2]).T, (cen[a] - w[0::2] - w[1::2]).T,
                         ring[b], ring[a], *self._atom_sums(ends))
         if self.config.cost_kind == "gb":
             quadric_costs = None
-        return (slots, *gb_placements(vertices[a].T, vertices[b].T, analytic, quadric_costs,
-                                      sums, self.params.lam))
+        return (slots, *gb_placements(cands, quadric_costs, sums, self.params.lam))
 
     def _atom_sums(self, ends):
         """Count and (3, E) center sum of the atoms in ball(a) | ball(b)
@@ -346,21 +347,25 @@ class Decimator:
 
     def _quadric_minima(self, edges):
         """``minimize_packed`` of the summed endpoint rows of each (E, 2)
-        edge (point, cost and the (4, E) candidate costs), and whether
-        both endpoints have a quadric at all (see :func:`_has_plane`)."""
+        edge: its (3, 4, E) candidates and (4, E) costs. Where an
+        endpoint has no quadric (see :func:`_has_plane`) there is no
+        fourth point (NaN) and every quadric cost is ``inf``."""
         q = self._qv[edges]
-        has_q = _has_plane(q).all(axis=1)
-        q = q[:, 0] + q[:, 1]
+        lone = (~_has_plane(q).all(axis=1)).nonzero()[0]
         ends = self.mesh.vertices[edges]
-        return (*minimize_packed(q, ends[:, 0], ends[:, 1]), has_q)
+        cands, costs = minimize_packed(q[:, 0] + q[:, 1], ends[:, 0], ends[:, 1])
+        if len(lone):
+            cands[:, 3, lone] = np.nan
+            costs[:, lone] = np.inf
+        return cands, costs
 
     def _batch_candidates(self, edges):
         """qe (points, costs, feasible) of an (E, 2) edge array in one
         pass over the packed store: ``placement_for("qe", ...)`` on the
         endpoints' ``vertex_quadric`` per edge, bit for bit, infeasible
         where an endpoint is isolated."""
-        points, costs, _, ok = self._quadric_minima(edges)
-        return points, costs, ok
+        cands, costs = self._quadric_minima(edges)
+        return cands[:, 3].T, costs[3], costs[3] != np.inf
 
     # -- the queue ---------------------------------------------------------
 
@@ -491,10 +496,7 @@ class Decimator:
                 np.add.at(qv, owners[part], volume_rows(mesh.vertices, tris))
                 continue
             rows, good = plane_quadric_rows(mesh.vertices, tris)
-            if good.all():
-                np.add.at(qv, owners[part], rows)
-            else:
-                np.add.at(qv, owners[part][good], rows[good])
+            np.add.at(qv, owners[part][good], rows[good])
             if atoms:
                 np.add.at(self._centroids, owners[part],
                           triangle_centroids(mesh.vertices, tris))

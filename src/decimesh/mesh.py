@@ -44,10 +44,10 @@ class TriangleMesh:
         Vertex-index triples with consistent counter-clockwise
         orientation (outward normals for a closed surface).
 
-    Construction performs only cheap structural checks (shapes, index
-    range, finiteness). Manifoldness, orientation consistency and
-    duplicate detection are the job of :func:`validate`, so that tests
-    and error paths can build deliberately broken meshes.
+    Construction performs only cheap structural checks (shapes, whole
+    in-range indices, finiteness). Manifoldness, orientation consistency
+    and duplicate detection are the job of :func:`validate`, so that
+    tests and error paths can build deliberately broken meshes.
     """
 
     def __init__(self, vertices, triangles):
@@ -56,7 +56,10 @@ class TriangleMesh:
             raise ValidationError(f"vertices must be (n, 3), got {verts.shape}")
         if not np.isfinite(verts).all():
             raise ValidationError("vertex coordinates must be finite")
-        tris = np.array(triangles, dtype=np.int64)
+        tris = np.asarray(triangles)
+        if tris.dtype.kind == "f" and not (np.isfinite(tris) & (np.trunc(tris) == tris)).all():
+            raise ValidationError("triangle indices must be whole numbers")
+        tris = np.array(tris, dtype=np.int64)
         if tris.size == 0:
             tris = tris.reshape(0, 3)
         if tris.ndim != 2 or tris.shape[1] != 3:

@@ -6,10 +6,12 @@ normals, so evaluating the quadric at a point gives the sum of squared
 point-plane distances. Packed symmetric storage (10 floats) keeps the
 decimation hot loop off numpy's small-array overhead.
 
-:func:`plane_quadric_rows`, :func:`evaluate_packed` and
-:func:`minimize_packed` are the batched twins of the plane quadric, of
-``Quadric.evaluate`` and of :func:`minimize_quadric`, for the decimation
-queue; they equal the scalar functions bit for bit.
+:func:`plane_quadric_rows` and :func:`minimize_packed` are the batched
+twins of the plane quadric and of :func:`minimize_quadric`, for the
+decimation queue; they equal the scalar functions bit for bit.
+:func:`minimize_packed` returns the whole :func:`candidate_set` it
+picks from, which every cost kind reads, and :func:`first_cheapest` is
+the one picker.
 """
 
 from __future__ import annotations
@@ -231,6 +233,11 @@ _PACK_I = np.array([0, 0, 0, 0, 1, 1, 1, 2, 2, 3])
 _PACK_J = np.array([0, 1, 2, 3, 1, 2, 3, 2, 3, 3])
 
 
+def packed_outer(rows):
+    """Packed ``p p^T`` (T, 10) of the (4, T) coordinate-first rows p."""
+    return (rows[_PACK_I] * rows[_PACK_J]).T
+
+
 def plane_quadric_rows(vertices, tris):
     """Packed plane quadric of each (T, 3) triangle row, and which rows
     are nondegenerate (``HomogeneousPlane.from_triangle`` not None).
@@ -251,39 +258,42 @@ def plane_quadric_rows(vertices, tris):
     with np.errstate(divide="ignore", invalid="ignore"):
         plane[:3] /= m
     np.negative(a * p0[0] + b * p0[1] + c * p0[2], out=d)
-    rows = plane[_PACK_I] * plane[_PACK_J]
-    return rows.T, ~(m <= 2.0 * EPS_AREA)
+    return packed_outer(plane), ~(m <= 2.0 * EPS_AREA)
 
 
-def evaluate_packed(q, x, y, z):
-    """``Quadric.evaluate`` of (E, 10) packed quadrics at coordinate
-    arrays that broadcast against (E,), such as (K, E) for K candidate
-    points per edge; bit for bit, in the scalar operation order."""
-    return _evaluate(np.ascontiguousarray(q.T), x, y, z)
+def candidate_set(p1, p2, fourth=None):
+    """The discrete placements {midpoint, p1, p2, fourth} of E edges
+    from (E, 3) arrays, coordinate-first: (3, 4, E); row 3 is left
+    unset without ``fourth``."""
+    cands = np.empty((3, 4, len(p1)))
+    cands[:, 1] = p1.T
+    cands[:, 2] = p2.T
+    np.multiply(0.5, cands[:, 1] + cands[:, 2], out=cands[:, 0])
+    if fourth is not None:
+        cands[:, 3] = np.asarray(fourth, dtype=float).T
+    return cands
 
 
-def _evaluate(rows, x, y, z):
-    """:func:`evaluate_packed` of the (10, E) rows of packed quadrics."""
-    xx, xy, xz, xw, yy, yz, yw, zz, zw, ww = rows
-    return (
-        xx * x * x + yy * y * y + zz * z * z + ww
-        + 2.0 * (xy * x * y + xz * x * z + yz * y * z
-                 + xw * x + yw * y + zw * z)
-    )
+def first_cheapest(cands, costs):
+    """The first cheapest of (3, 4, E) candidates by their (4, E) costs,
+    as the scalar loops' strict ``<`` picks: (points (E, 3), costs (E,))."""
+    pick = costs.argmin(axis=0)
+    edges = np.arange(len(pick))
+    return cands[:, pick, edges].T, costs[pick, edges]
 
 
 def minimize_packed(q, p1, p2):
-    """:func:`minimize_quadric` and ``Quadric.evaluate`` of its result
-    for (E, 10) packed quadrics and (E, 3) endpoints, one row per edge.
+    """:func:`minimize_quadric` for (E, 10) packed quadrics and (E, 3)
+    endpoints, one row per edge, with ``Quadric.evaluate`` at each
+    candidate.
 
-    Returns (points (E, 3), costs (E,), candidate costs (4, E)): the
-    first two equal the scalar results bit for bit, branch choices and
-    tie order included; the last holds the costs at the midpoint, p1,
-    p2 and the returned point (NaN as ``inf`` but at the midpoint), and
-    ``costs`` is its last row.
+    Returns (candidates (3, 4, E), costs (4, E)): the
+    :func:`candidate_set` of the edges with the scalar result, bit for
+    bit, branch choices and tie order included, in row 3, and the costs
+    there (``inf`` for a NaN cost but at the midpoint).
     """
-    qt = np.ascontiguousarray(q.T)
-    xx, xy, xz, xw, yy, yz, yw, zz, zw, ww = qt
+    xx, xy, xz, xw, yy, yz, yw, zz, zw, ww = np.ascontiguousarray(q.T)
+    cands = candidate_set(p1, p2)
     with np.errstate(all="ignore"):
         c1 = yy * zz - yz * yz
         c2 = xy * zz - yz * xz
@@ -301,15 +311,10 @@ def minimize_packed(q, p1, p2):
         e1 = yw * zz - yz * zw
         e3 = xy * zw - yw * xz
         inv = -(1.0 / det)
-        # candidates: midpoint, p1, p2, analytic
-        points = np.empty((4,) + p1.shape)
-        np.multiply(0.5, p1 + p2, out=points[0])
-        points[1] = p1
-        points[2] = p2
-        analytic = points[3]
-        np.multiply(inv, xw * c1 - xy * e1 + xz * (yw * yz - yy * zw), out=analytic[:, 0])
-        np.multiply(inv, xx * e1 - xw * c2 + xz * e3, out=analytic[:, 1])
-        np.multiply(inv, xx * (yy * zw - yw * yz) - xy * e3 + xw * c3, out=analytic[:, 2])
+        analytic = cands[:, 3]
+        np.multiply(inv, xw * c1 - xy * e1 + xz * (yw * yz - yy * zw), out=analytic[0])
+        np.multiply(inv, xx * e1 - xw * c2 + xz * e3, out=analytic[1])
+        np.multiply(inv, xx * (yy * zw - yw * yz) - xy * e3 + xw * c3, out=analytic[2])
 
         if not solvable.all():
             # the minimum along the segment, where it curves up
@@ -325,14 +330,18 @@ def minimize_packed(q, p1, p2):
                   + dz * (xz * x1 + yz * y1 + zz * z1 + zw)) / curv
             t = np.where(t < 0.0, 0.0, np.where(t > 1.0, 1.0, t))
             on_segment = (curv > DET_GUARD * scale * dd) & (curv > 0.0)
-            segment = np.where(on_segment[:, None], p1 + t[:, None] * d, np.nan)
-            analytic[~solvable] = segment[~solvable]
+            segment = np.where(on_segment, (p1 + t[:, None] * d).T, np.nan)
+            analytic[:, ~solvable] = segment[:, ~solvable]
 
-        # the cheapest candidate; ties and NaN (no analytic point)
-        # resolve as the scalar loop's strict "<" does
-        costs = _evaluate(qt, points[..., 0], points[..., 1], points[..., 2])
+        # Quadric.evaluate at each candidate; ties and NaN (no analytic
+        # point) resolve as the scalar loop's strict "<" does
+        x, y, z = cands
+        costs = (
+            xx * x * x + yy * y * y + zz * z * z + ww
+            + 2.0 * (xy * x * y + xz * x * z + yz * y * z
+                     + xw * x + yw * y + zw * z)
+        )
         costs[1:][np.isnan(costs[1:])] = np.inf
-    pick = np.argmin(costs, axis=0)
-    rows = np.arange(len(pick))
-    costs[3] = costs[pick, rows]
-    return points[pick, rows], costs[3], costs
+    point, costs[3] = first_cheapest(cands, costs)
+    analytic[:] = point.T
+    return cands, costs

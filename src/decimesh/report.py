@@ -16,11 +16,12 @@ import hashlib
 import io as _stdio
 import json
 import math
+import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import __version__
-from .costs import GbCostParams
+from .costs import COST_KINDS, GbCostParams
 from .decimate import DecimationConfig, decimate
 from .errors import DecimeshError, InputError, InvalidConfig
 from .gb import GBParams, born_radii, g_pol, quadrature_rule, surface_area
@@ -98,32 +99,43 @@ class ComparisonReport:
 
 def report_format(path):
     """The format a report path names by its suffix, "csv" or "json";
-    any other suffix raises ``InvalidConfig``."""
+    any other suffix, or a directory that does not exist, raises
+    ``InvalidConfig``."""
     path = str(path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise InvalidConfig(f"report directory does not exist: {path}")
     for fmt in ("csv", "json"):
         if path.lower().endswith("." + fmt):
             return fmt
     raise InvalidConfig(f"report path must end in .csv or .json: {path}")
 
 
+def check_sweep(cost_kinds, params):
+    """Raise ``InvalidConfig`` for what every cell of a sweep would
+    reject: an unknown cost kind, or a bad ``rho`` or ``lam``."""
+    GbCostParams(rho=params.rho, lam=params.lam)
+    for kind in cost_kinds:
+        if kind not in COST_KINDS:
+            raise InvalidConfig(f"unknown cost kind {kind!r}; expected one of {COST_KINDS}")
+
+
 def resolve_targets(n_faces, items):
-    """Turn a target list (ints, fractions, or '50%' strings) into face
-    counts; an entry that names no finite count raises ``InputError``."""
+    """Turn a target list (whole counts, fractions, or '50%' strings)
+    into face counts; an entry that names no finite count raises
+    ``InputError``."""
     out = []
     for item in items:
-        value = item
+        text = str(item).strip()
         try:
-            if isinstance(item, str):
-                text = item.strip()
-                if text.endswith("%"):
-                    frac = float(text[:-1]) / 100.0
-                    out.append(max(4, int(round(n_faces * frac))))
-                    continue
-                value = float(text)
-            if isinstance(value, float) and 0 < value < 1:
+            value = float(text.removesuffix("%"))
+            if text.endswith("%"):
+                out.append(max(4, int(round(n_faces * (value / 100.0)))))
+            elif 0 < value < 1:
                 out.append(max(4, int(round(n_faces * value))))
-            else:
+            elif int(value) == value:
                 out.append(int(value))
+            else:
+                raise ValueError(item)
         except (ValueError, OverflowError):
             raise InputError(f"face target {item!r} is not a finite count, "
                              "fraction or percent") from None
@@ -160,8 +172,7 @@ def run_compare(mesh, atoms, cost_kinds, face_targets, params=None) -> Compariso
     params = params or HarnessParams()
     rule = quadrature_rule(params.quadrature)
     gb_params = GBParams(eps_p=params.eps_p, eps_w=params.eps_w)
-    # every cell would reject these, so the sweep does before any work
-    GbCostParams(rho=params.rho, lam=params.lam)
+    check_sweep(cost_kinds, params)
     targets = resolve_targets(mesh.n_faces, face_targets)
 
     mesh_text = write_off(mesh)

@@ -341,6 +341,33 @@ def test_compare_bad_targets_exit_1(tmp_path, capsys, targets):
     assert not csv_path.exists()
 
 
+def test_compare_unknown_cost_exits_1_before_reading_input(tmp_path, capsys):
+    """A misspelled cost kind fails the whole sweep up front, as a bad
+    ``--rho`` does: the missing input files are never opened."""
+    csv_path = tmp_path / "rep.csv"
+    argv = ["compare", "--mesh", str(tmp_path / "none.off"), "--atoms", str(tmp_path / "none.txt"),
+            "--costs", "qe,foo", "--targets", "50%", "--report", str(csv_path)]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidConfig: unknown cost kind 'foo'")
+    assert not csv_path.exists()
+
+
+def test_compare_missing_report_directory_exits_1_before_any_work(tmp_path, monkeypatch,
+                                                                  capsys):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("run_compare called")
+
+    monkeypatch.setattr("decimesh.cli.run_compare", no_sweep)
+    argv = ["compare", "--mesh", str(tmp_path / "none.off"), "--atoms", str(tmp_path / "none.txt"),
+            "--costs", "qe", "--targets", "50%", "--report", str(tmp_path / "rep.json"),
+            "--report", str(tmp_path / "nodir" / "rep.csv")]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidConfig: report directory does not exist: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_runs_bit_for_bit_reproducible(tmp_path):
     mesh_path = tmp_path / "in.off"
     save_mesh(icosphere(2), mesh_path)

@@ -26,7 +26,7 @@ from decimesh.errors import (
     InvalidInput,
 )
 from decimesh.mesh import EdgeStar, TriangleMesh, edge_star
-from decimesh.quadrics import Quadric, minimize_quadric
+from decimesh.quadrics import Quadric, candidate_set, minimize_quadric
 from decimesh.shapes import icosphere
 
 from conftest import bits, block_budget, random_rotation
@@ -478,9 +478,11 @@ def pb_engine(stars, analytic=None, per_candidate=False):
         analytic = [None] * len(stars)
     analytic = np.array([(math.nan,) * 3 if a is None else a for a in analytic])
     verts, renumbered = star_batch(stars)
+    cands = candidate_set(np.array([s.p1 for s in stars]), np.array([s.p2 for s in stars]),
+                          analytic)
     if per_candidate:
-        return pb_candidate_costs(verts, renumbered, analytic)
-    points, costs = pb_placements(verts, renumbered, analytic)
+        return cands.transpose(1, 2, 0), pb_candidate_costs(verts, renumbered, cands)
+    points, costs = pb_placements(verts, renumbered, cands)
     return [tuple(p) for p in points.tolist()], costs.tolist()
 
 
@@ -616,10 +618,10 @@ def test_pb_placements_memory_is_bounded():
     dec._recompute_quadric_rows(range(len(mesh.vertices)))
     edges = np.array(sorted(mesh.edges()))[:2048]
     stars = [edge_star(mesh, a, b) for a, b in edges.tolist()]
-    analytic = dec._quadric_minima(edges)[0]
+    cands = dec._quadric_minima(edges)[0]
     tracemalloc.start()
     try:
-        points, costs = pb_placements(mesh.vertices, stars, analytic)
+        points, costs = pb_placements(mesh.vertices, stars, cands)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

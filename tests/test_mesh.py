@@ -116,6 +116,16 @@ def test_out_of_range_index_rejected():
         TriangleMesh([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 3)])
 
 
+def test_fractional_index_rejected():
+    verts = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
+    for bad in ([(0, 1.7, 2)], [(0, 1, math.nan)], [(0, 1, math.inf)]):
+        with pytest.raises(ValidationError, match="whole numbers"):
+            TriangleMesh(verts, bad)
+    mesh = TriangleMesh(verts, np.array([(0.0, 1.0, 2.0)]))
+    assert mesh.triangles.tolist() == [[0, 1, 2]]
+    assert mesh.triangles.dtype == np.int64
+
+
 def test_nonfinite_vertex_rejected():
     with pytest.raises(ValidationError):
         TriangleMesh([(0, 0, 0), (1, 0, 0), (0, math.nan, 0)], [(0, 1, 2)])

@@ -20,6 +20,7 @@ from decimesh.quadrics import (
     DET_GUARD,
     HomogeneousPlane,
     Quadric,
+    candidate_set,
     minimize_packed,
     minimize_quadric,
     vertex_quadric,
@@ -72,6 +73,16 @@ def test_packed_rows_equal_vertex_quadric():
         assert bits(dec._qv[v]) == bits(want)
 
 
+def assert_candidate_set(cands, costs, q, p1, p2):
+    """One edge's column of ``minimize_packed``'s (3, 4) candidates and
+    (4,) costs: the midpoint, v1, v2 and ``minimize_quadric``'s point,
+    each with ``Quadric.evaluate`` there, bit for bit."""
+    mid = tuple((0.5 * (np.array(p1) + np.array(p2))).tolist())
+    want = (mid, tuple(p1), tuple(p2), minimize_quadric(q, p1, p2))
+    assert bits(cands.T) == bits(want)
+    assert bits(costs) == bits([q.evaluate(x) for x in want])
+
+
 def test_minimize_packed_matches_minimize_quadric_on_rank_one_forms():
     # a single plane gives a singular form: the segment or discrete branch
     rng = np.random.default_rng(64)
@@ -81,13 +92,9 @@ def test_minimize_packed_matches_minimize_quadric_on_rank_one_forms():
         rows.append(Quadric.from_plane(plane) + Quadric.from_plane(plane))
         p1s.append(tuple(rng.normal(size=3).tolist()))
         p2s.append(tuple(rng.normal(size=3).tolist()))
-    points, costs, at_candidates = minimize_packed(np.array(rows), np.array(p1s), np.array(p2s))
-    for q, p1, p2, point, cost, at in zip(rows, p1s, p2s, points, costs, at_candidates.T):
-        want = minimize_quadric(q, p1, p2)
-        assert bits(point) == bits(want)
-        assert bits([cost]) == bits([q.evaluate(want)])
-        mid = tuple((0.5 * (np.array(p1) + np.array(p2))).tolist())
-        assert bits(at) == bits([q.evaluate(x) for x in (mid, p1, p2, want)])
+    cands, costs = minimize_packed(np.array(rows), np.array(p1s), np.array(p2s))
+    for e, (q, p1, p2) in enumerate(zip(rows, p1s, p2s)):
+        assert_candidate_set(cands[:, :, e], costs[:, e], q, p1, p2)
 
 
 @pytest.mark.parametrize("flatten", [False, True])
@@ -99,11 +106,13 @@ def test_batch_candidates_equal_minimize_quadric(flatten):
     dec.build_queue()
     edges = np.array(sorted(mesh.edges()))
     got = as_candidates(*dec._batch_candidates(edges))
+    cands, costs = dec._quadric_minima(edges)
     singular = 0
-    for (a, b), cand in zip(edges.tolist(), got):
+    for e, ((a, b), cand) in enumerate(zip(edges.tolist(), got)):
         q = vertex_quadric(mesh, a) + vertex_quadric(mesh, b)
         point = minimize_quadric(q, mesh.position(a), mesh.position(b))
         assert same_candidate(cand, (point, q.evaluate(point)))
+        assert_candidate_set(cands[:, :, e], costs[:, e], q, mesh.position(a), mesh.position(b))
         m = q.matrix()[:3, :3]
         scale = np.linalg.norm(m, axis=1).mean()
         singular += abs(np.linalg.det(m)) <= DET_GUARD * scale**3
@@ -156,7 +165,8 @@ def test_rebuild_after_moving_vertices(kind):
         elif kind == "pb":
             # the queue's pb engine, fed the oracle's analytic candidate
             analytic = minimize_quadric(q1 + q2, star.p1, star.p2)
-            points, costs = pb_placements(mesh.vertices, [star], [analytic])
+            cands = candidate_set(np.array([star.p1]), np.array([star.p2]), [analytic])
+            points, costs = pb_placements(mesh.vertices, [star], cands)
             want = (tuple(points[0].tolist()), float(costs[0]))
         else:
             # per-vertex sums: the oracle's cost up to rounding
@@ -281,22 +291,24 @@ def test_engine_equals_placement_for_on_flat_stars(kind):
 @pytest.mark.parametrize("kind", ["vol", "gb", "gb_qe"])
 def test_engine_equals_placement_for_at_isolated_vertex(kind):
     """A vertex whose triangles are all flat has no quadric: gb_qe drops
-    its edges and gb scores only the midpoint and the endpoints."""
+    its edges and gb scores only the midpoint and the endpoints (with
+    lam = 0 the NaN fourth point ties them)."""
     mesh = icosphere(3, radius=2.0)
     ring = sorted(mesh.vertex_neighbors(0))
     for k, u in enumerate([0] + ring):
         mesh.vertices[u] = (0.3 * k - 1.0, 0.0, 0.0)
     atoms = [Atom(center=(0.0, 0.5, 0.0), charge=1.0)]
-    cfg = DecimationConfig(cost_kind=kind, target_faces=100, lam=0.5)
-    dec = Decimator(mesh, cfg, atoms=atoms if kind != "vol" else None)
-    dec.build_queue()
-    assert not _has_plane(dec._qv[0])
-    assert_engine_near_oracle(dec, atoms)
-    got = as_candidates(*dec._candidates([(0, u) for u in ring]))
-    if kind == "gb_qe":
-        assert got == [None] * len(ring)
-    else:
-        assert None not in got
+    for lam in (0.5, 0.0):
+        cfg = DecimationConfig(cost_kind=kind, target_faces=100, lam=lam)
+        dec = Decimator(mesh.copy(), cfg, atoms=atoms if kind != "vol" else None)
+        dec.build_queue()
+        assert not _has_plane(dec._qv[0])
+        assert_engine_near_oracle(dec, atoms)
+        got = as_candidates(*dec._candidates([(0, u) for u in ring]))
+        if kind == "gb_qe":
+            assert got == [None] * len(ring)
+        else:
+            assert None not in got
 
 
 def assert_store_is_fresh(dec, centers):

@@ -8,7 +8,7 @@ import pytest
 from decimesh import report as report_module
 from decimesh import run_compare
 from decimesh.decimate import DecimationConfig, decimate
-from decimesh.errors import DecimeshError, InvalidConfig
+from decimesh.errors import DecimeshError, InputError, InvalidConfig
 from decimesh.gb import GBParams, quadrature_rule
 from decimesh.report import HarnessParams, ReportRow, _measure, resolve_targets
 
@@ -28,6 +28,24 @@ def test_resolve_targets():
     assert resolve_targets(1000, ["50%", "25%", "10%"]) == [500, 250, 100]
     assert resolve_targets(1000, [0.5, 200, "120"]) == [500, 200, 120]
     assert resolve_targets(10, ["1%"]) == [4]  # floor of 4 faces
+    assert resolve_targets(1000, ["50.5%", "1", 2, "3.0", 0.25]) == [505, 1, 2, 3, 250]
+
+
+@pytest.mark.parametrize("target", ["1000.7", "2.5", 2.5, 1000.7],
+                         ids=["text-count", "text-small", "small", "count"])
+def test_resolve_targets_rejects_fractional_counts(target):
+    with pytest.raises(InputError, match="is not a finite count, fraction or percent"):
+        resolve_targets(1000, [target])
+
+
+def test_unknown_cost_kind_rejected_before_any_work(monkeypatch):
+    def no_measure(*args, **kwargs):
+        raise AssertionError("reference row measured")
+
+    mesh, atoms = synthetic_molecule(n_atoms=4, level=1, radius=5.0, seed=6)
+    monkeypatch.setattr(report_module, "_measure", no_measure)
+    with pytest.raises(InvalidConfig, match="unknown cost kind 'foo'"):
+        run_compare(mesh, atoms, ["qe", "foo"], [0.5])
 
 
 def test_row_count_and_order(small_report):

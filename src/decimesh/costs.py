@@ -29,7 +29,7 @@ import numpy as np
 from . import blocks
 from .errors import CandidateInfeasible, DegenerateTriangle, InvalidConfig, InvalidInput
 from .geometry import centroid as geometry_centroid
-from .geometry import cross, dist, dot, sub, triangle_quality, triangle_quality_array
+from .geometry import cross, dist, dot, midpoint, sub, triangle_quality, triangle_quality_array
 from .grid import grid_build
 from .mesh import EdgeStar, edge_star
 from .quadrics import (
@@ -236,7 +236,8 @@ def _pb_block_costs(vertices, stars, cands):
 class StarSums(NamedTuple):
     """What the atom term reads of E edges: the centroid sums of the
     ring triangles at v2 (upper) and v1 (lower), their counts, and the
-    count and center sum of the atoms within rho of either endpoint."""
+    count and center sum of the atoms within rho of either endpoint.
+    :func:`f_ac` fills one with the floats of a single edge."""
 
     upper: np.ndarray     # (3, E)
     lower: np.ndarray     # (3, E)
@@ -258,14 +259,7 @@ def gb_placements(cands, quadric_costs, sums, lam):
     """
     p1, p2 = cands[:, 1], cands[:, 2]
     with np.errstate(invalid="ignore", over="ignore"):
-        d2 = (cands - p2[:, None]) / 3.0
-        d1 = (cands - p1[:, None]) / 3.0
-        sq_change = -(
-            2.0 * (dot(d2, sums.upper) + dot(d1, sums.lower))
-            + sums.n_upper * dot(d2, d2) + sums.n_lower * dot(d1, d1)
-        )
-        shift = sums.n_upper * d2 + sums.n_lower * d1
-        atom_term = np.abs(sums.m * sq_change + 2.0 * dot(shift, sums.atom_sum))
+        atom_term = _atom_term(cands, p1, p2, sums)
         atom_term[:, sums.m == 0] = 0.0
 
         first = quadric_costs
@@ -281,6 +275,21 @@ def gb_placements(cands, quadric_costs, sums, lam):
 # --- atomic-center cost -----------------------------------------------------
 
 
+def _atom_term(vbar, p1, p2, sums):
+    """:func:`f_ac`'s expanded form at vbar, from the edge's endpoints
+    and :class:`StarSums`; each ring centroid moves by a third of the
+    step from its apex (p2 upper, p1 lower) to vbar."""
+    d2 = ((vbar[0] - p2[0]) / 3.0, (vbar[1] - p2[1]) / 3.0, (vbar[2] - p2[2]) / 3.0)
+    d1 = ((vbar[0] - p1[0]) / 3.0, (vbar[1] - p1[1]) / 3.0, (vbar[2] - p1[2]) / 3.0)
+    nu, nl = sums.n_upper, sums.n_lower
+    # sum of (c.c - cbar.cbar) with cbar = c + shift
+    sq_change = -(2.0 * (dot(d2, sums.upper) + dot(d1, sums.lower))
+                  + nu * dot(d2, d2) + nl * dot(d1, d1))
+    # sum of (cbar - c), dotted with the atom-center sum
+    shift = (nu * d2[0] + nl * d1[0], nu * d2[1] + nl * d1[1], nu * d2[2] + nl * d1[2])
+    return abs(sums.m * sq_change + 2.0 * dot(shift, sums.atom_sum))
+
+
 def f_ac(star: EdgeStar, vbar, atom_positions) -> float:
     """Cumulative change in squared centroid-to-atom distances.
 
@@ -294,25 +303,16 @@ def f_ac(star: EdgeStar, vbar, atom_positions) -> float:
     m = len(atom_positions)
     if m == 0:
         return 0.0
-    vbar = tuple(vbar)
-    atom_sum = tuple(np.sum(atom_positions, axis=0).tolist())
-    rings = []  # (centroid sum, centroid shift, triangles): upper, lower
+    rings = []  # (centroid sum, triangles): upper, lower
     for apex, path in ((star.p2, star.upper_pos), (star.p1, star.lower_pos)):
         sx = sy = sz = 0.0
         for u, w in zip(path, path[1:]):
             cx, cy, cz = geometry_centroid(apex, u, w)
             sx += cx; sy += cy; sz += cz
-        rings.append(((sx, sy, sz), tuple((x - a) / 3.0 for x, a in zip(vbar, apex)),
-                      len(path) - 1))
-    (su, d2, nu), (sl, d1, nl) = rings
-    # sum of (c.c - cbar.cbar) with cbar = c + shift
-    sq_change = -(
-        2.0 * (dot(d2, su) + dot(d1, sl))
-        + nu * dot(d2, d2) + nl * dot(d1, d1)
-    )
-    # sum of (cbar - c), dotted with the atom-center sum
-    shift = tuple(nu * x2 + nl * x1 for x2, x1 in zip(d2, d1))
-    return abs(m * sq_change + 2.0 * dot(shift, atom_sum))
+        rings.append(((sx, sy, sz), len(path) - 1))
+    (su, nu), (sl, nl) = rings
+    atom_sum = tuple(np.sum(atom_positions, axis=0).tolist())
+    return _atom_term(tuple(vbar), star.p1, star.p2, StarSums(su, sl, nu, nl, m, atom_sum))
 
 
 def f_gb(
@@ -344,10 +344,6 @@ def f_gb(
 
 
 # --- placement policies -----------------------------------------------------
-
-
-def _midpoint(p1, p2):
-    return (0.5 * (p1[0] + p2[0]), 0.5 * (p1[1] + p2[1]), 0.5 * (p1[2] + p2[2]))
 
 
 def placement_for(
@@ -383,7 +379,7 @@ def placement_for(
         point = minimize_quadric(vq, p1, p2)
         return point, vq.evaluate(point)
 
-    candidates = [_midpoint(p1, p2), p1, p2]
+    candidates = [midpoint(p1, p2), p1, p2]
     if q1 is not None and q2 is not None:
         candidates.append(minimize_quadric(q1 + q2, p1, p2))
 
@@ -425,18 +421,21 @@ def estimate_lambda(mesh, atoms, params: Optional[GbCostParams] = None,
     midpoint, and returns median(first) / median(f_ac) over the samples
     with a nonzero atom term, so the two terms land on the same order of
     magnitude. Falls back to the stock default when no sampled edge sees
-    a nearby atom. Raises ``InvalidConfig`` unless ``n_edges >= 1`` and
+    a nearby atom. Raises ``InvalidConfig`` unless ``n_edges`` is a
+    whole number at least 1 (``inf`` samples every edge) and
     ``InvalidInput`` for a mesh without edges.
     """
     if not n_edges >= 1:
         raise InvalidConfig(f"n_edges must be at least 1, got {n_edges}")
+    if n_edges < math.inf and int(n_edges) != n_edges:
+        raise InvalidConfig(f"n_edges must be a whole number, got {n_edges}")
     if params is None:
         params = GbCostParams()
     edges = sorted(mesh.edges())
     if not edges:
         raise InvalidInput("mesh has no edges")
     rng = np.random.default_rng(seed)
-    picks = rng.choice(len(edges), size=min(n_edges, len(edges)), replace=False)
+    picks = rng.choice(len(edges), size=int(min(n_edges, len(edges))), replace=False)
     grid = grid_build(atoms, cell_size=params.rho)
     first_term = replace(params, lam=0.0)
 
@@ -444,7 +443,7 @@ def estimate_lambda(mesh, atoms, params: Optional[GbCostParams] = None,
     for i in picks.tolist():
         a, b = edges[i]
         star = edge_star(mesh, a, b)
-        mid = _midpoint(star.p1, star.p2)
+        mid = midpoint(star.p1, star.p2)
         q1 = q2 = None
         if params.variant == "qe_term":
             q1, q2 = vertex_quadric(mesh, a), vertex_quadric(mesh, b)

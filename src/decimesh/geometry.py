@@ -1,10 +1,11 @@
-"""Scalar triangle geometry used throughout the package.
+"""Triangle geometry used throughout the package.
 
-Positions are plain ``(x, y, z)`` float tuples in these helpers; the hot
-decimation loop calls them far too often for small-array numpy to pay
-off. The one vectorized exception is :func:`triangle_quality_array`,
-the array form of :func:`triangle_quality` that the batched ``pb``
-engine and :func:`decimesh.mesh.quality_summary` share. Lengths are in
+The helpers take plain ``(x, y, z)`` float tuples in the hot decimation
+loop, where small-array numpy would not pay off. Written per component,
+most also run unchanged on coordinate-first numpy arrays (3, ...), which
+is how the batched engine and :func:`decimesh.mesh.quality_summary`
+share them; :func:`triangle_quality_array` is :func:`triangle_quality`
+on arrays, from the same squared sides and cosines. Lengths are in
 Angstroms everywhere.
 """
 
@@ -54,6 +55,10 @@ def triangle_area(a, b, c):
     return 0.5 * norm(n)
 
 
+def midpoint(a, b):
+    return (0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]), 0.5 * (a[2] + b[2]))
+
+
 def centroid(a, b, c):
     return (
         (a[0] + b[0] + c[0]) / 3.0,
@@ -90,14 +95,11 @@ def triangle_quality(a, b, c):
     2 for an equilateral triangle, growing without bound as the triangle
     degenerates. Unit-independent. Works on squared side lengths (one
     sqrt for the side ratio, law of cosines for the angles); this sits
-    in the innermost decimation loop, hence the inlined arithmetic.
+    in the innermost decimation loop, hence the unrolled min/max picks.
     """
-    ux = b[0] - c[0]; uy = b[1] - c[1]; uz = b[2] - c[2]
-    vx = c[0] - a[0]; vy = c[1] - a[1]; vz = c[2] - a[2]
-    wx = a[0] - b[0]; wy = a[1] - b[1]; wz = a[2] - b[2]
-    la2 = ux * ux + uy * uy + uz * uz
-    lb2 = vx * vx + vy * vy + vz * vz
-    lc2 = wx * wx + wy * wy + wz * wz
+    la2 = _squared_side(b, c)
+    lb2 = _squared_side(c, a)
+    lc2 = _squared_side(a, b)
     if la2 <= lb2:
         lmin2, lmax2 = (la2, lc2 if lc2 >= lb2 else lb2) if la2 <= lc2 else (lc2, lb2)
     else:
@@ -105,9 +107,9 @@ def triangle_quality(a, b, c):
     if lmin2 <= 0.0:
         raise DegenerateTriangle("triangle with a zero-length side")
     # law of cosines on squared lengths, clamped against rounding
-    ca = (lb2 + lc2 - la2) / (2.0 * math.sqrt(lb2 * lc2))
-    cb = (lc2 + la2 - lb2) / (2.0 * math.sqrt(lc2 * la2))
-    cc = (la2 + lb2 - lc2) / (2.0 * math.sqrt(la2 * lb2))
+    ca = _cosine(lb2, lc2, la2, math.sqrt)
+    cb = _cosine(lc2, la2, lb2, math.sqrt)
+    cc = _cosine(la2, lb2, lc2, math.sqrt)
     ca = 1.0 if ca > 1.0 else (-1.0 if ca < -1.0 else ca)
     cb = 1.0 if cb > 1.0 else (-1.0 if cb < -1.0 else cb)
     cc = 1.0 if cc > 1.0 else (-1.0 if cc < -1.0 else cc)
@@ -137,9 +139,9 @@ def triangle_quality_array(a, b, c):
         ratio = np.sqrt(np.maximum(np.maximum(la2, lb2), lc2) / lmin2)
         flat = lmin2 <= 0.0
         del lmin2
-        ca = _cosine(lb2, lc2, la2)
-        cb = _cosine(lc2, la2, lb2)
-        cc = _cosine(la2, lb2, lc2)
+        ca = _cosine(lb2, lc2, la2, np.sqrt)
+        cb = _cosine(lc2, la2, lb2, np.sqrt)
+        cc = _cosine(la2, lb2, lc2, np.sqrt)
         # arccos is decreasing: the extreme angles come from the extreme
         # cosines, which saves a third of the arccos work
         cmax = np.maximum(np.maximum(ca, cb), cc)
@@ -153,16 +155,15 @@ def triangle_quality_array(a, b, c):
 
 
 def _squared_side(p, q):
-    """Squared length of the side from q to p, coordinate-first, in
-    :func:`triangle_quality`'s order."""
+    """Squared length of the side from q to p."""
     dx = p[0] - q[0]; dy = p[1] - q[1]; dz = p[2] - q[2]
     return dx * dx + dy * dy + dz * dz
 
 
-def _cosine(s2, t2, opposite2):
-    """Law of cosines on squared sides, in :func:`triangle_quality`'s
-    order: the cosine of the angle between sides s and t."""
-    return (s2 + t2 - opposite2) / (2.0 * np.sqrt(s2 * t2))
+def _cosine(s2, t2, opposite2, sqrt):
+    """Law of cosines on squared sides: the cosine of the angle between
+    sides s and t, with ``math.sqrt`` or ``np.sqrt``."""
+    return (s2 + t2 - opposite2) / (2.0 * sqrt(s2 * t2))
 
 
 def is_well_centered(a, b, c):
@@ -170,12 +171,12 @@ def is_well_centered(a, b, c):
 
     Equivalent to all angles strictly acute; tested on squared side
     lengths so a right triangle built from exact coordinates reports
-    False without rounding ambiguity.
+    False without rounding ambiguity. On corner arrays, a boolean array.
     """
-    la2 = dot(sub(b, c), sub(b, c))
-    lb2 = dot(sub(c, a), sub(c, a))
-    lc2 = dot(sub(a, b), sub(a, b))
-    return (la2 + lb2 > lc2) and (lb2 + lc2 > la2) and (lc2 + la2 > lb2)
+    la2 = _squared_side(b, c)
+    lb2 = _squared_side(c, a)
+    lc2 = _squared_side(a, b)
+    return (la2 + lb2 > lc2) & (lb2 + lc2 > la2) & (lc2 + la2 > lb2)
 
 
 @dataclass(frozen=True)

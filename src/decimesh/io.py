@@ -126,15 +126,11 @@ def write_off(mesh: TriangleMesh) -> str:
     precision (lossless on reparse).
     """
     live = mesh.live_vertex_ids()
-    remap = {int(v): i for i, v in enumerate(live)}
-    out = ["OFF"]
-    faces = [
-        (remap[a], remap[b], remap[c]) for (a, b, c) in mesh.live_triangles()
-    ]
-    out.append(f"{len(live)} {len(faces)} 0")
-    verts = mesh.vertices
-    for v in live:
-        x, y, z = verts[v].tolist()
+    remap = np.empty(len(mesh.vertices), dtype=np.int64)
+    remap[live] = np.arange(len(live))
+    faces = remap[mesh.live_triangle_array()].tolist()
+    out = ["OFF", f"{len(live)} {len(faces)} 0"]
+    for (x, y, z) in mesh.vertices[live].tolist():
         out.append(f"{x!r} {y!r} {z!r}")
     for (a, b, c) in faces:
         out.append(f"3 {a} {b} {c}")

@@ -761,9 +761,7 @@ def quality_summary(mesh: TriangleMesh) -> QualitySummary:
     q = geometry.triangle_quality_array(a, b, c)
     # a sliver that passes the area filter can still round to a zero angle
     q[np.isnan(q)] = math.inf
-    # the squared sides of geometry.is_well_centered, in its order
-    la2, lb2, lc2 = (((u - v) ** 2).sum(axis=0) for u, v in ((b, c), (c, a), (a, b)))
-    wc = (la2 + lb2 > lc2) & (lb2 + lc2 > la2) & (lc2 + la2 > lb2)
+    wc = geometry.is_well_centered(a, b, c)
 
     hist = {}
     lo = _HIST_EDGES[0]

@@ -8,7 +8,9 @@ decimation hot loop off numpy's small-array overhead.
 
 :func:`plane_quadric_rows` and :func:`minimize_packed` are the batched
 twins of the plane quadric and of :func:`minimize_quadric`, for the
-decimation queue; they equal the scalar functions bit for bit.
+decimation queue. Both sides call one formula for the triangle plane,
+the quadric value, the 3x3 solve and the segment minimum, on floats or
+on arrays with one value per edge, so they agree bit for bit.
 :func:`minimize_packed` returns the whole :func:`candidate_set` it
 picks from, which every cost kind reads, and :func:`first_cheapest` is
 the one picker.
@@ -22,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IsolatedVertex
-from .geometry import EPS_AREA, cross, dot, sub
+from .geometry import EPS_AREA, cross, dot, midpoint, sub
 
 # |det| below this multiple of (mean row norm)^3 counts as singular in
 # the 3x3 placement solve; scale-aware so uniform scaling cannot flip
@@ -41,12 +43,10 @@ class HomogeneousPlane(NamedTuple):
     @classmethod
     def from_triangle(cls, p0, p1, p2):
         """Oriented plane of a triangle; None when the triangle is degenerate."""
-        n = cross(sub(p1, p0), sub(p2, p0))
-        m = math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
+        n, m = _triangle_normal(p0, p1, p2, math.sqrt)
         if m <= 2.0 * EPS_AREA:
             return None
-        a, b, c = n[0] / m, n[1] / m, n[2] / m
-        return cls(a, b, c, -(a * p0[0] + b * p0[1] + c * p0[2]))
+        return cls(*_unit_plane(n, m, p0))
 
     def distance(self, p):
         """Signed distance from point p to the plane."""
@@ -102,14 +102,7 @@ class Quadric(NamedTuple):
 
     def evaluate(self, p):
         """[p, 1]^T Q [p, 1]: the summed squared plane distances at p."""
-        x, y, z = p[0], p[1], p[2]
-        return (
-            self.xx * x * x + self.yy * y * y + self.zz * z * z + self.ww
-            + 2.0 * (
-                self.xy * x * y + self.xz * x * z + self.yz * y * z
-                + self.xw * x + self.yw * y + self.zw * z
-            )
-        )
+        return _quadric_value(self, p)
 
     def matrix(self):
         """Dense symmetric 4x4 numpy view of the packed entries."""
@@ -162,55 +155,19 @@ def minimize_quadric(q: Quadric, p1, p2):
     broken in that order, so it can never be worse than the discrete
     fallbacks.
     """
-    a11, a12, a13 = q.xx, q.xy, q.xz
-    a22, a23, a33 = q.yy, q.yz, q.zz
-    b1, b2, b3 = q.xw, q.yw, q.zw
-
-    det = (
-        a11 * (a22 * a33 - a23 * a23)
-        - a12 * (a12 * a33 - a23 * a13)
-        + a13 * (a12 * a23 - a22 * a13)
-    )
-    r1 = math.sqrt(a11 * a11 + a12 * a12 + a13 * a13)
-    r2 = math.sqrt(a12 * a12 + a22 * a22 + a23 * a23)
-    r3 = math.sqrt(a13 * a13 + a23 * a23 + a33 * a33)
-    scale = (r1 + r2 + r3) / 3.0
-
+    c1, c2, c3, det, scale = _solve_terms(q, math.sqrt)
     analytic = None
     if abs(det) > DET_GUARD * scale * scale * scale:
-        inv = 1.0 / det
-        # Cramer's rule for A x = -b
-        analytic = (
-            -inv * (b1 * (a22 * a33 - a23 * a23)
-                    - a12 * (b2 * a33 - a23 * b3)
-                    + a13 * (b2 * a23 - a22 * b3)),
-            -inv * (a11 * (b2 * a33 - a23 * b3)
-                    - b1 * (a12 * a33 - a13 * a23)
-                    + a13 * (a12 * b3 - b2 * a13)),
-            -inv * (a11 * (a22 * b3 - b2 * a23)
-                    - a12 * (a12 * b3 - b2 * a13)
-                    + b1 * (a12 * a23 - a22 * a13)),
-        )
+        analytic = _cramer(q, c1, c2, c3, det)
     else:
         d = sub(p2, p1)
-        ad = (
-            a11 * d[0] + a12 * d[1] + a13 * d[2],
-            a12 * d[0] + a22 * d[1] + a23 * d[2],
-            a13 * d[0] + a23 * d[1] + a33 * d[2],
-        )
-        curv = dot(d, ad)
+        curv = _curvature(q, d)
         if curv > DET_GUARD * scale * dot(d, d) and curv > 0.0:
-            ap1 = (
-                a11 * p1[0] + a12 * p1[1] + a13 * p1[2] + b1,
-                a12 * p1[0] + a22 * p1[1] + a23 * p1[2] + b2,
-                a13 * p1[0] + a23 * p1[1] + a33 * p1[2] + b3,
-            )
-            t = -dot(d, ap1) / curv
+            t = _segment_t(q, p1, d, curv)
             t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-            analytic = (p1[0] + t * d[0], p1[1] + t * d[1], p1[2] + t * d[2])
+            analytic = _along(p1, t, d)
 
-    mid = (0.5 * (p1[0] + p2[0]), 0.5 * (p1[1] + p2[1]), 0.5 * (p1[2] + p2[2]))
-    best = mid
+    best = mid = midpoint(p1, p2)
     best_cost = q.evaluate(mid)
     for cand in (p1, p2, analytic):
         if cand is None:
@@ -221,11 +178,82 @@ def minimize_quadric(q: Quadric, p1, p2):
     return best
 
 
-# -- packed (rows of 10 floats) twins of the scalar functions above --------
+# -- the formulas both sides share ------------------------------------------
 #
-# Component arithmetic in the scalar functions' operation order, with no
-# fused or reordered sums, so every row equals its scalar counterpart
-# bit for bit.
+# Each runs unchanged on floats, for the scalar functions above, and on
+# arrays, for the packed twins below: a quadric ``q`` is then a tuple of
+# its 10 entry rows, unpacked once by the caller, and a point (3, ...).
+
+
+def _triangle_normal(p0, p1, p2, sqrt):
+    """Normal of the triangle (p0, p1, p2) and its length, with
+    ``math.sqrt`` or ``np.sqrt``."""
+    n = cross(sub(p1, p0), sub(p2, p0))
+    return n, sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
+
+
+def _unit_plane(n, m, p0):
+    """(a, b, c, d): the plane through p0 with normal n of length m."""
+    a, b, c = n[0] / m, n[1] / m, n[2] / m
+    return a, b, c, -(a * p0[0] + b * p0[1] + c * p0[2])
+
+
+def _quadric_value(q, p):
+    """[p, 1]^T Q [p, 1] of the packed quadric q."""
+    xx, xy, xz, xw, yy, yz, yw, zz, zw, ww = q
+    x, y, z = p[0], p[1], p[2]
+    return (xx * x * x + yy * y * y + zz * z * z + ww
+            + 2.0 * (xy * x * y + xz * x * z + yz * y * z + xw * x + yw * y + zw * z))
+
+
+def _solve_terms(q, sqrt):
+    """The first-row cofactors (c1, c2, c3) of the 3x3 block A of q,
+    its determinant and its mean row norm, the scale of the guard."""
+    xx, xy, xz, _, yy, yz, _, zz, _, _ = q
+    c1 = yy * zz - yz * yz
+    c2 = xy * zz - yz * xz
+    c3 = xy * yz - yy * xz
+    sq_xy, sq_xz, sq_yz = xy * xy, xz * xz, yz * yz
+    scale = (sqrt(xx * xx + sq_xy + sq_xz) + sqrt(sq_xy + yy * yy + sq_yz)
+             + sqrt(sq_xz + sq_yz + zz * zz)) / 3.0
+    return c1, c2, c3, xx * c1 - xy * c2 + xz * c3, scale
+
+
+def _cramer(q, c1, c2, c3, det):
+    """Cramer's rule for A x = -b, from :func:`_solve_terms`'s cofactors
+    and determinant."""
+    xx, xy, xz, xw, yy, yz, yw, zz, zw, _ = q
+    e1 = yw * zz - yz * zw
+    e3 = xy * zw - yw * xz
+    inv = -(1.0 / det)
+    return (inv * (xw * c1 - xy * e1 + xz * (yw * yz - yy * zw)),
+            inv * (xx * e1 - xw * c2 + xz * e3),
+            inv * (xx * (yy * zw - yw * yz) - xy * e3 + xw * c3))
+
+
+def _curvature(q, d):
+    """d^T A d: how the quadric curves along the direction d."""
+    xx, xy, xz, _, yy, yz, _, zz, _, _ = q
+    dx, dy, dz = d[0], d[1], d[2]
+    return (dx * (xx * dx + xy * dy + xz * dz)
+            + dy * (xy * dx + yy * dy + yz * dz)
+            + dz * (xz * dx + yz * dy + zz * dz))
+
+
+def _segment_t(q, p1, d, curv):
+    """The unclamped t minimizing q along p1 + t d: -d^T (A p1 + b) / curv."""
+    xx, xy, xz, xw, yy, yz, yw, zz, zw, _ = q
+    x1, y1, z1 = p1[0], p1[1], p1[2]
+    return -(d[0] * (xx * x1 + xy * y1 + xz * z1 + xw)
+             + d[1] * (xy * x1 + yy * y1 + yz * z1 + yw)
+             + d[2] * (xz * x1 + yz * y1 + zz * z1 + zw)) / curv
+
+
+def _along(p1, t, d):
+    return (p1[0] + t * d[0], p1[1] + t * d[1], p1[2] + t * d[2])
+
+
+# -- packed (rows of 10 floats) twins of the scalar functions above --------
 
 
 # upper-triangle index pairs (i, j) of p p^T in packed Quadric order
@@ -245,19 +273,10 @@ def plane_quadric_rows(vertices, tris):
     Each nondegenerate row is the term the scalar plane sum adds for
     that triangle in :func:`vertex_quadric`; degenerate rows hold junk.
     """
-    p = vertices[tris]
-    p0 = p[:, 0].T
-    ux, uy, uz = (p[:, 1] - p[:, 0]).T
-    vx, vy, vz = (p[:, 2] - p[:, 0]).T
-    plane = np.empty((4, len(p)))
-    a, b, c, d = plane
-    np.subtract(uy * vz, uz * vy, out=a)
-    np.subtract(uz * vx, ux * vz, out=b)
-    np.subtract(ux * vy, uy * vx, out=c)
-    m = np.sqrt(a * a + b * b + c * c)
+    p = vertices[tris].T
+    n, m = _triangle_normal(p[:, 0], p[:, 1], p[:, 2], np.sqrt)
     with np.errstate(divide="ignore", invalid="ignore"):
-        plane[:3] /= m
-    np.negative(a * p0[0] + b * p0[1] + c * p0[2], out=d)
+        plane = np.array(_unit_plane(n, m, p[:, 0]))
     return packed_outer(plane), ~(m <= 2.0 * EPS_AREA)
 
 
@@ -292,55 +311,30 @@ def minimize_packed(q, p1, p2):
     bit, branch choices and tie order included, in row 3, and the costs
     there (``inf`` for a NaN cost but at the midpoint).
     """
-    xx, xy, xz, xw, yy, yz, yw, zz, zw, ww = np.ascontiguousarray(q.T)
+    q = tuple(np.ascontiguousarray(q.T))
     cands = candidate_set(p1, p2)
+    analytic = cands[:, 3]
     with np.errstate(all="ignore"):
-        c1 = yy * zz - yz * yz
-        c2 = xy * zz - yz * xz
-        c3 = xy * yz - yy * xz
-        det = xx * c1 - xy * c2 + xz * c3
-        sq_xy, sq_xz, sq_yz = xy * xy, xz * xz, yz * yz
-        scale = (
-            np.sqrt(xx * xx + sq_xy + sq_xz)
-            + np.sqrt(sq_xy + yy * yy + sq_yz)
-            + np.sqrt(sq_xz + sq_yz + zz * zz)
-        ) / 3.0
+        c1, c2, c3, det, scale = _solve_terms(q, np.sqrt)
         solvable = np.abs(det) > DET_GUARD * scale * scale * scale
-
-        # Cramer's rule for A x = -b
-        e1 = yw * zz - yz * zw
-        e3 = xy * zw - yw * xz
-        inv = -(1.0 / det)
-        analytic = cands[:, 3]
-        np.multiply(inv, xw * c1 - xy * e1 + xz * (yw * yz - yy * zw), out=analytic[0])
-        np.multiply(inv, xx * e1 - xw * c2 + xz * e3, out=analytic[1])
-        np.multiply(inv, xx * (yy * zw - yw * yz) - xy * e3 + xw * c3, out=analytic[2])
+        analytic[0], analytic[1], analytic[2] = _cramer(q, c1, c2, c3, det)
 
         if not solvable.all():
-            # the minimum along the segment, where it curves up
-            d = p2 - p1
-            dx, dy, dz = d.T
-            x1, y1, z1 = p1.T
-            curv = (dx * (xx * dx + xy * dy + xz * dz)
-                    + dy * (xy * dx + yy * dy + yz * dz)
-                    + dz * (xz * dx + yz * dy + zz * dz))
-            dd = dx * dx + dy * dy + dz * dz
-            t = -(dx * (xx * x1 + xy * y1 + xz * z1 + xw)
-                  + dy * (xy * x1 + yy * y1 + yz * z1 + yw)
-                  + dz * (xz * x1 + yz * y1 + zz * z1 + zw)) / curv
+            # the minimum along the segment, where it curves up, from
+            # the coordinate-first endpoints
+            p1, p2 = cands[:, 1], cands[:, 2]
+            d = sub(p2, p1)
+            curv = _curvature(q, d)
+            t = _segment_t(q, p1, d, curv)
             t = np.where(t < 0.0, 0.0, np.where(t > 1.0, 1.0, t))
-            on_segment = (curv > DET_GUARD * scale * dd) & (curv > 0.0)
-            segment = np.where(on_segment, (p1 + t[:, None] * d).T, np.nan)
-            analytic[:, ~solvable] = segment[:, ~solvable]
+            # NaN, no point, where the segment does not curve up
+            t[~((curv > DET_GUARD * scale * dot(d, d)) & (curv > 0.0))] = np.nan
+            fallback = ~solvable
+            analytic[:, fallback] = np.array(_along(p1, t, d))[:, fallback]
 
         # Quadric.evaluate at each candidate; ties and NaN (no analytic
         # point) resolve as the scalar loop's strict "<" does
-        x, y, z = cands
-        costs = (
-            xx * x * x + yy * y * y + zz * z * z + ww
-            + 2.0 * (xy * x * y + xz * x * z + yz * y * z
-                     + xw * x + yw * y + zw * z)
-        )
+        costs = _quadric_value(q, cands)
         costs[1:][np.isnan(costs[1:])] = np.inf
     point, costs[3] = first_cheapest(cands, costs)
     analytic[:] = point.T

@@ -121,14 +121,16 @@ def check_sweep(cost_kinds, params):
 
 def resolve_targets(n_faces, items):
     """Turn a target list (whole counts, fractions, or '50%' strings)
-    into face counts; an entry that names no finite count raises
-    ``InputError``."""
+    into face counts; an entry that names no finite count, or a percent
+    that is not positive, raises ``InputError``."""
     out = []
     for item in items:
         text = str(item).strip()
         try:
             value = float(text.removesuffix("%"))
             if text.endswith("%"):
+                if not 0 < value < math.inf:
+                    raise ValueError(item)
                 out.append(max(4, int(round(n_faces * (value / 100.0)))))
             elif 0 < value < 1:
                 out.append(max(4, int(round(n_faces * value))))

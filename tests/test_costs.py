@@ -754,6 +754,30 @@ def test_estimate_lambda():
     assert estimate_lambda(mesh, far, GbCostParams(rho=1.0), n_edges=50) == 1e-8
 
 
+@pytest.mark.parametrize("n_edges", [2.5, 200.7])
+def test_estimate_lambda_needs_whole_edge_count(n_edges):
+    from decimesh import Atom
+
+    mesh = icosphere(2, radius=5.0)
+    with pytest.raises(InvalidConfig, match="whole number"):
+        estimate_lambda(mesh, [Atom(center=(0, 0, 0), charge=1.0)], n_edges=n_edges)
+
+
+def test_estimate_lambda_whole_float_and_infinite_edge_counts():
+    from decimesh import Atom
+
+    mesh = icosphere(2, radius=5.0)
+    atoms = [Atom(center=c, charge=1.0)
+             for c in np.random.default_rng(54).normal(size=(12, 3)) * 3.0]
+    params = GbCostParams(rho=4.0)
+    assert (estimate_lambda(mesh, atoms, params, n_edges=200.0, seed=1)
+            == estimate_lambda(mesh, atoms, params, n_edges=200, seed=1))
+    # inf samples every edge
+    every = len(list(mesh.edges()))
+    assert (estimate_lambda(mesh, atoms, params, n_edges=math.inf, seed=1)
+            == estimate_lambda(mesh, atoms, params, n_edges=every, seed=1))
+
+
 @pytest.mark.parametrize("n_vertices", [0, 3])
 def test_estimate_lambda_edgeless_mesh_is_invalid_input(n_vertices):
     from decimesh import Atom

@@ -342,7 +342,7 @@ def test_candidate_of_a_non_edge_is_none(kind):
 def test_qe_commit_python_calls():
     """Python function calls per qe commit on the level-4 sphere (5,120
     to 4,608 faces), counted with ``sys.setprofile``: unlike a time, a
-    count does not move with the host. A commit makes 51 here (numpy
+    count does not move with the host. A commit makes 57 here (numpy
     2.4, Python 3.11), 18 of them in numpy's own Python-level wrappers
     (``errstate``, ``ndarray.all``, ``sort``, ``repeat``, ``argmin``),
     whose number changes between numpy versions; the bound leaves room

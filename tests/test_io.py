@@ -113,6 +113,22 @@ def test_round_trip_after_decimation_compacts():
     assert write_off(again) == text
 
 
+def test_write_off_leaves_row_cache_alone():
+    """Writing reads the triangle array, not the per-row tuples that
+    ``TriangleMesh.triangle`` caches for the collapse loop."""
+    mesh = icosphere(3)
+    write_off(mesh)
+    assert mesh._row_cache == {}
+    mesh, _ = decimate(mesh, DecimationConfig(cost_kind="qe", target_faces=600))
+    cached = dict(mesh._row_cache)
+    text = write_off(mesh)
+    assert mesh._row_cache == cached
+    # the faces, remapped to the compacted vertex ids, in live-row order
+    remap = {v: i for i, v in enumerate(mesh.live_vertex_ids().tolist())}
+    want = [f"3 {remap[a]} {remap[b]} {remap[c]}" for (a, b, c) in mesh.live_triangles()]
+    assert text.splitlines()[-600:] == want
+
+
 def test_round_trip_full_precision():
     rng = np.random.default_rng(12)
     mesh = icosphere(1)

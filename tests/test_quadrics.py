@@ -5,7 +5,13 @@ import pytest
 
 from decimesh import TriangleMesh, f_qe, vertex_quadric
 from decimesh.errors import IsolatedVertex
-from decimesh.quadrics import HomogeneousPlane, Quadric, minimize_quadric
+from decimesh.quadrics import (
+    DET_GUARD,
+    HomogeneousPlane,
+    Quadric,
+    minimize_packed,
+    minimize_quadric,
+)
 from decimesh.shapes import icosphere
 
 from conftest import random_rotation, random_triangle
@@ -131,6 +137,76 @@ def test_optimal_placement_zero_quadric_returns_midpoint():
     q = Quadric.zero()
     point = minimize_quadric(q, (0.0, 0.0, 0.0), (2.0, 0.0, 0.0))
     assert point == (1.0, 0.0, 0.0)
+
+
+def packed_form(A, b, c=0.0):
+    """The Quadric of x^T A x + 2 b^T x + c from numpy A (3, 3) and b (3,)."""
+    return Quadric(A[0, 0], A[0, 1], A[0, 2], b[0], A[1, 1], A[1, 2], b[1],
+                   A[2, 2], b[2], c)
+
+
+# Independent truths for the placement solve: numpy's own solver and the
+# closed-form line minimum, which share no arithmetic with the 3x3
+# solve and segment formulas that minimize_quadric and minimize_packed
+# call, so an error in those formulas shows here.
+SOLVE_RTOL = 1e-9
+
+
+def test_stationary_point_equals_linear_solve():
+    rng = np.random.default_rng(31)
+    forms, ends, want = [], [], []
+    for _ in range(50):
+        # well conditioned (eigenvalues in [1, 3]) and fully coupled
+        R = random_rotation(rng)
+        A = R @ np.diag(rng.uniform(1.0, 3.0, size=3)) @ R.T
+        assert np.abs(A[np.triu_indices(3, 1)]).min() > 1e-3
+        x = rng.normal(size=3)
+        b = -A @ x
+        # endpoints far from the minimum, so none of the discrete
+        # candidates can tie it
+        p1, p2 = x + 2.0 + rng.random(3), x - 2.0 - rng.random(3)
+        q = packed_form(A, b, c=float(x @ A @ x))
+        truth = np.linalg.solve(A, -b)
+        np.testing.assert_allclose(minimize_quadric(q, tuple(p1), tuple(p2)), truth,
+                                   rtol=SOLVE_RTOL, atol=SOLVE_RTOL)
+        forms.append(q)
+        ends.append((p1, p2))
+        want.append(truth)
+    ends = np.array(ends)
+    cands, _ = minimize_packed(np.array(forms), ends[:, 0], ends[:, 1])
+    np.testing.assert_allclose(cands[:, 3].T, want, rtol=SOLVE_RTOL, atol=SOLVE_RTOL)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("t_star", [0.3, 0.8, -0.6, 1.7])
+def test_segment_minimum_equals_closed_form(rank, t_star):
+    """Rank-deficient forms fall back to the segment; the point is
+    p1 + t d with t = -d^T (A p1 + b) / (d^T A d) clamped to [0, 1]."""
+    rng = np.random.default_rng(37 + rank)
+    forms, ends, want = [], [], []
+    for _ in range(20):
+        normals = rng.normal(size=(rank, 3))
+        A = normals.T @ normals
+        scale = np.linalg.norm(A, axis=1).mean()
+        assert abs(np.linalg.det(A)) <= DET_GUARD * scale**3
+        p1, p2 = rng.normal(size=3), rng.normal(size=3)
+        d = p2 - p1
+        # b puts the line minimum at t_star, plus a random part
+        # orthogonal to d, which the line cannot see
+        off = rng.normal(size=3)
+        off -= (off @ d) / (d @ d) * d
+        b = -A @ p1 - t_star * (d @ A @ d) / (d @ d) * d + off
+        t = np.clip(-d @ (A @ p1 + b) / (d @ A @ d), 0.0, 1.0)
+        truth = p1 + t * d
+        q = packed_form(A, b)
+        np.testing.assert_allclose(minimize_quadric(q, tuple(p1), tuple(p2)), truth,
+                                   rtol=SOLVE_RTOL, atol=SOLVE_RTOL)
+        forms.append(q)
+        ends.append((p1, p2))
+        want.append(truth)
+    ends = np.array(ends)
+    cands, _ = minimize_packed(np.array(forms), ends[:, 0], ends[:, 1])
+    np.testing.assert_allclose(cands[:, 3].T, want, rtol=SOLVE_RTOL, atol=SOLVE_RTOL)
 
 
 def test_placement_never_worse_than_discrete_candidates():

@@ -38,6 +38,13 @@ def test_resolve_targets_rejects_fractional_counts(target):
         resolve_targets(1000, [target])
 
 
+@pytest.mark.parametrize("target", ["-50%", "0%", "-0%", "nan%"])
+def test_resolve_targets_rejects_percents_not_above_zero(target):
+    # each would clamp to the 4-face floor and decimate to the minimum
+    with pytest.raises(InputError, match="is not a finite count, fraction or percent"):
+        resolve_targets(10, [target])
+
+
 def test_unknown_cost_kind_rejected_before_any_work(monkeypatch):
     def no_measure(*args, **kwargs):
         raise AssertionError("reference row measured")

@@ -23,7 +23,7 @@ from .gb import (
     quadrature_rule,
     surface_area,
 )
-from .io import load_atoms, load_mesh, save_mesh
+from .io import _mesh_out_path, load_atoms, load_mesh, save_mesh
 from .mesh import validate as validate_mesh
 from .report import HarnessParams, check_sweep, report_format, run_compare
 
@@ -97,6 +97,7 @@ def _cmd_validate(args):
 
 
 def _cmd_decimate(args):
+    _mesh_out_path(args.out)
     mesh = load_mesh(args.mesh)
     atoms = load_atoms(args.atoms) if args.atoms else None
     config = DecimationConfig(

@@ -29,7 +29,8 @@ import numpy as np
 from . import blocks
 from .errors import CandidateInfeasible, DegenerateTriangle, InvalidConfig, InvalidInput
 from .geometry import centroid as geometry_centroid
-from .geometry import cross, dist, dot, midpoint, sub, triangle_quality, triangle_quality_array
+from .geometry import _squared_side, cross, dist, dot, midpoint, sub
+from .geometry import triangle_quality, triangle_quality_array
 from .grid import grid_build
 from .mesh import EdgeStar, edge_star
 from .quadrics import (
@@ -264,8 +265,7 @@ def gb_placements(cands, quadric_costs, sums, lam):
 
         first = quadric_costs
         if first is None:
-            dx, dy, dz = p1 - p2
-            first = np.broadcast_to(np.sqrt(dx * dx + dy * dy + dz * dz), (4, p1.shape[1]))
+            first = np.broadcast_to(np.sqrt(_squared_side(p1, p2)), (4, p1.shape[1]))
         costs = first if lam == 0.0 else first + lam * atom_term
     # a NaN fourth point (no quadric) is never picked: where the cost
     # reads the point it is NaN, so inf, and elsewhere it ties the midpoint
@@ -413,6 +413,17 @@ def placement_for(
     return best, best_cost
 
 
+def _check_whole(name, value, low):
+    """Raise ``InvalidConfig`` unless ``value`` is a whole number, as an
+    int, a numpy integer or a whole float, at least ``low``."""
+    try:
+        whole = value >= low and int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise InvalidConfig(f"{name} must be a whole number at least {low}, got {value!r}")
+
+
 def estimate_lambda(mesh, atoms, params: Optional[GbCostParams] = None,
                     n_edges=1000, seed=0) -> float:
     """Data-driven weight for the atomic-center term.
@@ -425,10 +436,8 @@ def estimate_lambda(mesh, atoms, params: Optional[GbCostParams] = None,
     whole number at least 1 (``inf`` samples every edge) and
     ``InvalidInput`` for a mesh without edges.
     """
-    if not n_edges >= 1:
-        raise InvalidConfig(f"n_edges must be at least 1, got {n_edges}")
-    if n_edges < math.inf and int(n_edges) != n_edges:
-        raise InvalidConfig(f"n_edges must be a whole number, got {n_edges}")
+    if n_edges != math.inf:
+        _check_whole("n_edges", n_edges, 1)
     if params is None:
         params = GbCostParams()
     edges = sorted(mesh.edges())

@@ -42,6 +42,7 @@ import numpy as np
 from . import blocks
 from .costs import (
     COST_KINDS,
+    _check_whole,
     CollapseCandidate,
     GbCostParams,
     StarSums,
@@ -146,8 +147,8 @@ class DecimationConfig:
     quadric cost for gb_qe, and rho/lam parametrize them. veto_flips
     drops candidates that would reverse a ring triangle's normal.
     validate_every > 0 runs a full manifold validation every that-many
-    collapses (1 = after each; 0 = never). Out-of-range settings raise
-    ``InvalidConfig``.
+    collapses (1 = after each; 0 = never). Out-of-range settings, and
+    counts that are not whole numbers, raise ``InvalidConfig``.
     """
 
     cost_kind: str
@@ -160,12 +161,8 @@ class DecimationConfig:
     def __post_init__(self):
         if self.cost_kind not in COST_KINDS:
             raise InvalidConfig(f"cost_kind must be one of {COST_KINDS}")
-        if self.target_faces < 4:
-            raise InvalidConfig(f"target_faces must be at least 4, got {self.target_faces}")
-        if self.validate_every < 0:
-            raise InvalidConfig(
-                f"validate_every must be nonnegative, got {self.validate_every}"
-            )
+        _check_whole("target_faces", self.target_faces, 4)
+        _check_whole("validate_every", self.validate_every, 0)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from .errors import (
     NumericalError,
     RadiiMismatch,
 )
-from .geometry import EPS_AREA
+from .geometry import EPS_AREA, triangle_normal
 from .mesh import TriangleMesh
 
 # Coulomb constant in (kcal/mol) * Angstrom / e^2.
@@ -140,34 +140,30 @@ def mesh_quadrature(mesh: TriangleMesh, rule=CENTROID_1PT):
 
     Returns (nodes (K, 3), weights (K,), normals (K, 3)) where K is the
     number of live triangles times the rule's node count. Weights per
-    triangle sum to the triangle area.
+    triangle sum to the triangle area. Nodes and normals are transposed
+    views of coordinate-first (3, K) arrays, the layout
+    :func:`born_radii` reads.
     """
     rule = quadrature_rule(rule)
-    tris = mesh.live_triangle_array()
-    a = mesh.vertices[tris[:, 0]]
-    b = mesh.vertices[tris[:, 1]]
-    c = mesh.vertices[tris[:, 2]]
-    n = np.cross(b - a, c - a)
-    double_area = np.linalg.norm(n, axis=1)
+    a, b, c = mesh.vertices.T.take(mesh.live_triangle_array().T, axis=1).swapaxes(0, 1)
+    n, double_area = triangle_normal(a, b, c, np.sqrt)
     if (double_area <= 2.0 * EPS_AREA).any():
         bad = int(np.argmax(double_area <= 2.0 * EPS_AREA))
         raise DegenerateTriangle(
             f"triangle {mesh.live_triangle_ids()[bad]} is degenerate"
         )
-    normals = n / double_area[:, None]
+    normals = np.array(n) / double_area
     area = 0.5 * double_area
 
     nodes = []
     weights = []
-    node_normals = []
     for (ba, bb, bc), frac in zip(rule.barycentric, rule.fractions):
         nodes.append(ba * a + bb * b + bc * c)
         weights.append(frac * area)
-        node_normals.append(normals)
     return (
-        np.concatenate(nodes),
+        np.concatenate(nodes, axis=1).T,
         np.concatenate(weights),
-        np.concatenate(node_normals),
+        np.concatenate([normals] * len(weights), axis=1).T,
     )
 
 
@@ -415,13 +411,8 @@ def g_pol(atoms, params: GBParams = GBParams(), radii=None) -> float:
 
 def surface_area(mesh: TriangleMesh) -> float:
     """Total area of the live triangles (A^2)."""
-    tris = mesh.live_triangle_array()
-    if len(tris) == 0:
-        return 0.0
-    a = mesh.vertices[tris[:, 0]]
-    b = mesh.vertices[tris[:, 1]]
-    c = mesh.vertices[tris[:, 2]]
-    return float(0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1).sum())
+    a, b, c = mesh.vertices.T.take(mesh.live_triangle_array().T, axis=1).swapaxes(0, 1)
+    return float(0.5 * triangle_normal(a, b, c, np.sqrt)[1].sum())
 
 
 def nonpolar_energy(mesh: TriangleMesh, gamma=0.005) -> float:
@@ -429,6 +420,13 @@ def nonpolar_energy(mesh: TriangleMesh, gamma=0.005) -> float:
 
     A conventional surface-tension estimate (gamma in raw energy units
     per A^2), provided so reports can carry a complete energy row; it is
-    not a calibrated cavity/dispersion model.
+    not a calibrated cavity/dispersion model. A gamma that is not finite
+    and nonnegative raises ``InvalidConfig``.
     """
+    _check_gamma(gamma)
     return gamma * surface_area(mesh)
+
+
+def _check_gamma(gamma):
+    if not 0 <= gamma < math.inf:
+        raise InvalidConfig(f"gamma must be nonnegative and finite, got {gamma}")

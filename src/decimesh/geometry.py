@@ -5,8 +5,13 @@ loop, where small-array numpy would not pay off. Written per component,
 most also run unchanged on coordinate-first numpy arrays (3, ...), which
 is how the batched engine and :func:`decimesh.mesh.quality_summary`
 share them; :func:`triangle_quality_array` is :func:`triangle_quality`
-on arrays, from the same squared sides and cosines. Lengths are in
-Angstroms everywhere.
+on arrays, from the same squared sides and cosines.
+
+Each triangle normal and double area in the package comes from
+:func:`triangle_normal`: the plane quadrics (scalar and packed), the
+surface quadrature, the surface area and the quality survey. Each edge
+length comes from :func:`_squared_side`. Lengths are in Angstroms
+everywhere.
 """
 
 from __future__ import annotations
@@ -39,20 +44,19 @@ def cross(a, b):
     )
 
 
-def norm(a):
-    return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
-
-
 def dist(a, b):
-    dx = a[0] - b[0]
-    dy = a[1] - b[1]
-    dz = a[2] - b[2]
-    return math.sqrt(dx * dx + dy * dy + dz * dz)
+    return math.sqrt(_squared_side(a, b))
+
+
+def triangle_normal(p0, p1, p2, sqrt):
+    """Normal (p1 - p0) x (p2 - p0) of the triangle (p0, p1, p2) and its
+    length, twice the area, with ``math.sqrt`` or ``np.sqrt``."""
+    n = cross(sub(p1, p0), sub(p2, p0))
+    return n, sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
 
 
 def triangle_area(a, b, c):
-    n = cross(sub(b, a), sub(c, a))
-    return 0.5 * norm(n)
+    return 0.5 * triangle_normal(a, b, c, math.sqrt)[1]
 
 
 def midpoint(a, b):

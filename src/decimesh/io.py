@@ -10,10 +10,11 @@ round trips are lossless.
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import InvalidConfig, ParseError
 from .gb import Atom
 from .mesh import TriangleMesh, validate
 
@@ -205,8 +206,28 @@ def load_mesh(path, validate_mesh=True) -> TriangleMesh:
 
 
 def save_mesh(mesh, path):
-    with open(str(path), "w", encoding="utf-8") as fh:
+    """Write the mesh as OFF text; a path that :func:`_mesh_out_path`
+    rejects raises ``InvalidConfig``."""
+    with open(_mesh_out_path(path), "w", encoding="utf-8") as fh:
         fh.write(write_off(mesh))
+
+
+def _out_path(path, what):
+    """``path`` as a string; ``InvalidConfig`` naming the ``what`` output
+    if its directory does not exist."""
+    path = str(path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise InvalidConfig(f"{what} directory does not exist: {path}")
+    return path
+
+
+def _mesh_out_path(path):
+    """:func:`_out_path` for a mesh, which is written as OFF: an ``.obj``
+    path raises ``InvalidConfig``, as OBJ is read-only."""
+    path = _out_path(path, "output")
+    if path.lower().endswith(".obj"):
+        raise InvalidConfig(f"meshes are written as OFF, not OBJ: {path}")
+    return path
 
 
 def load_atoms(path):

@@ -155,21 +155,15 @@ class TriangleMesh:
         return sorted(self._vertex_tris[v1] & self._vertex_tris[v2])
 
     def edges(self):
-        """Iterate unique undirected edges as sorted (a, b) pairs."""
-        seen = set()
-        for (a, b, c) in self.live_triangles():
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = (u, v) if u < v else (v, u)
-                if key not in seen:
-                    seen.add(key)
-                    yield key
+        """Iterate unique undirected edges as sorted (a, b) pairs, in the
+        order :meth:`edge_table` first meets them."""
+        return iter(self.edge_table())
 
     def edge_table(self):
         """Materialize the undirected edge -> incident triangle-id map."""
         table = {}
-        tris = self.triangles
-        for t in np.flatnonzero(self._tri_alive).tolist():
-            a, b, c = tris[t].tolist()
+        rows = self.live_triangle_array().tolist()
+        for t, (a, b, c) in zip(self.live_triangle_ids().tolist(), rows):
             for u, v in ((a, b), (b, c), (c, a)):
                 key = (u, v) if u < v else (v, u)
                 table.setdefault(key, []).append(t)
@@ -751,13 +745,10 @@ def quality_summary(mesh: TriangleMesh) -> QualitySummary:
     tris = mesh.live_triangle_array()
     if len(tris) == 0:
         return QualitySummary(0, math.nan, math.nan, math.nan)
-    a = mesh.vertices[tris[:, 0]]
-    b = mesh.vertices[tris[:, 1]]
-    c = mesh.vertices[tris[:, 2]]
-    area2 = np.linalg.norm(np.cross(b - a, c - a), axis=1)
-    good = area2 > 2.0 * geometry.EPS_AREA
+    a, b, c = mesh.vertices.T.take(tris.T, axis=1).swapaxes(0, 1)
+    good = geometry.triangle_normal(a, b, c, np.sqrt)[1] > 2.0 * geometry.EPS_AREA
     n_degen = int((~good).sum())
-    a, b, c = a[good].T, b[good].T, c[good].T
+    a, b, c = a[:, good], b[:, good], c[:, good]
     q = geometry.triangle_quality_array(a, b, c)
     # a sliver that passes the area filter can still round to a zero angle
     q[np.isnan(q)] = math.inf

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IsolatedVertex
-from .geometry import EPS_AREA, cross, dot, midpoint, sub
+from .geometry import EPS_AREA, dot, midpoint, sub, triangle_normal
 
 # |det| below this multiple of (mean row norm)^3 counts as singular in
 # the 3x3 placement solve; scale-aware so uniform scaling cannot flip
@@ -43,7 +43,7 @@ class HomogeneousPlane(NamedTuple):
     @classmethod
     def from_triangle(cls, p0, p1, p2):
         """Oriented plane of a triangle; None when the triangle is degenerate."""
-        n, m = _triangle_normal(p0, p1, p2, math.sqrt)
+        n, m = triangle_normal(p0, p1, p2, math.sqrt)
         if m <= 2.0 * EPS_AREA:
             return None
         return cls(*_unit_plane(n, m, p0))
@@ -185,13 +185,6 @@ def minimize_quadric(q: Quadric, p1, p2):
 # its 10 entry rows, unpacked once by the caller, and a point (3, ...).
 
 
-def _triangle_normal(p0, p1, p2, sqrt):
-    """Normal of the triangle (p0, p1, p2) and its length, with
-    ``math.sqrt`` or ``np.sqrt``."""
-    n = cross(sub(p1, p0), sub(p2, p0))
-    return n, sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
-
-
 def _unit_plane(n, m, p0):
     """(a, b, c, d): the plane through p0 with normal n of length m."""
     a, b, c = n[0] / m, n[1] / m, n[2] / m
@@ -274,7 +267,7 @@ def plane_quadric_rows(vertices, tris):
     that triangle in :func:`vertex_quadric`; degenerate rows hold junk.
     """
     p = vertices[tris].T
-    n, m = _triangle_normal(p[:, 0], p[:, 1], p[:, 2], np.sqrt)
+    n, m = triangle_normal(p[:, 0], p[:, 1], p[:, 2], np.sqrt)
     with np.errstate(divide="ignore", invalid="ignore"):
         plane = np.array(_unit_plane(n, m, p[:, 0]))
     return packed_outer(plane), ~(m <= 2.0 * EPS_AREA)

@@ -16,7 +16,6 @@ import hashlib
 import io as _stdio
 import json
 import math
-import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -24,8 +23,8 @@ from . import __version__
 from .costs import COST_KINDS, GbCostParams
 from .decimate import DecimationConfig, decimate
 from .errors import DecimeshError, InputError, InvalidConfig
-from .gb import GBParams, born_radii, g_pol, quadrature_rule, surface_area
-from .io import write_atoms, write_off
+from .gb import GBParams, _check_gamma, born_radii, g_pol, quadrature_rule, surface_area
+from .io import _out_path, write_atoms, write_off
 from .mesh import quality_summary
 
 
@@ -43,8 +42,7 @@ class HarnessParams:
     quadrature: str = "centroid_1pt"
 
     def __post_init__(self):
-        if not 0 <= self.gamma < math.inf:
-            raise InvalidConfig(f"gamma must be nonnegative and finite, got {self.gamma}")
+        _check_gamma(self.gamma)
         quadrature_rule(self.quadrature)
 
 
@@ -101,9 +99,7 @@ def report_format(path):
     """The format a report path names by its suffix, "csv" or "json";
     any other suffix, or a directory that does not exist, raises
     ``InvalidConfig``."""
-    path = str(path)
-    if not os.path.isdir(os.path.dirname(path) or "."):
-        raise InvalidConfig(f"report directory does not exist: {path}")
+    path = _out_path(path, "report")
     for fmt in ("csv", "json"):
         if path.lower().endswith("." + fmt):
             return fmt

@@ -368,6 +368,27 @@ def test_compare_missing_report_directory_exits_1_before_any_work(tmp_path, monk
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("out, message", [
+    ("nodir/out.off", "output directory does not exist: "),
+    ("out.obj", "meshes are written as OFF, not OBJ: "),
+], ids=["missing-directory", "obj"])
+def test_decimate_bad_out_exits_1_before_any_work(tmp_path, monkeypatch, capsys, out, message):
+    """A ``--out`` that cannot be written, or could not be read back, is
+    an input error before the input is read or decimated."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("called")
+
+    mesh_path = tmp_path / "in.off"
+    save_mesh(icosphere(1), mesh_path)
+    monkeypatch.setattr("decimesh.cli.decimate", no_work)
+    monkeypatch.setattr("decimesh.cli.load_mesh", no_work)
+    argv = ["decimate", "--mesh", str(mesh_path), "--cost", "qe",
+            "--target-faces", "40", "--out", str(tmp_path / out)]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: InvalidConfig: " + message)
+    assert list(tmp_path.iterdir()) == [mesh_path]
+
+
 def test_cli_runs_bit_for_bit_reproducible(tmp_path):
     mesh_path = tmp_path / "in.off"
     save_mesh(icosphere(2), mesh_path)

@@ -73,6 +73,26 @@ def test_config_validation():
                 cost_kind="qe", target_faces=40, rho=rho, lam=lam))
 
 
+@pytest.mark.parametrize("settings", [
+    {"target_faces": math.nan},
+    {"target_faces": math.inf},
+    {"target_faces": 100.7},
+    {"target_faces": "100"},
+    {"target_faces": 100, "validate_every": 0.5},
+    {"target_faces": 100, "validate_every": math.nan},
+], ids=["nan", "inf", "fraction", "string", "validate-fraction", "validate-nan"])
+def test_config_needs_whole_counts(settings):
+    with pytest.raises(InvalidConfig, match="whole number"):
+        DecimationConfig(cost_kind="qe", **settings)
+
+
+def test_config_takes_numpy_and_whole_float_counts():
+    want = decimate(icosphere(2), DecimationConfig("qe", 80, validate_every=7))[1]
+    for target, every in ((np.int64(80), np.int32(7)), (80.0, 7.0)):
+        got = decimate(icosphere(2), DecimationConfig("qe", target, validate_every=every))[1]
+        assert got.records == want.records
+
+
 def test_icosphere_320_to_80_qe():
     mesh = icosphere(2)
     cfg = DecimationConfig(cost_kind="qe", target_faces=80, validate_every=1)

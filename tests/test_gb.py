@@ -632,3 +632,9 @@ def test_nonpolar_placeholder(sphere320):
     assert nonpolar_energy(sphere320, gamma=0.005) == pytest.approx(
         0.005 * surface_area(sphere320), rel=1e-15
     )
+
+
+@pytest.mark.parametrize("gamma", [math.nan, -1.0, math.inf])
+def test_nonpolar_energy_rejects_gamma_not_finite_and_nonnegative(sphere320, gamma):
+    with pytest.raises(InvalidConfig, match="gamma"):
+        nonpolar_energy(sphere320, gamma)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from decimesh import geometry
+from decimesh.shapes import octahedron
 from decimesh.errors import DegenerateTriangle
 
 from conftest import random_rotation, random_triangle
@@ -11,6 +12,41 @@ from conftest import random_rotation, random_triangle
 EQUILATERAL = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.5, math.sqrt(3.0) / 2.0, 0.0))
 # legs 1 and sqrt(3), hypotenuse 2: angles 30-60-90
 RIGHT_30_60 = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, math.sqrt(3.0), 0.0))
+
+
+@pytest.mark.parametrize("sqrt, wrap", [(math.sqrt, tuple), (np.sqrt, np.array)])
+def test_triangle_normal_of_exact_triangles(sqrt, wrap):
+    """Normals and double areas known in closed form, written out by
+    hand rather than through the shared helper: right triangles along
+    each pair of axes, and the regular octahedron, whose outward faces
+    have normal (+-1, +-1, +-1), three times the face centroid, and
+    double area sqrt(3)."""
+    for (a, b, c), normal in [
+        (((0, 0, 0), (2, 0, 0), (0, 3, 0)), (0, 0, 6)),
+        (((1, 1, 1), (1, 1, 5), (1, -2, 1)), (12, 0, 0)),
+        (((0, 0, 0), (0, 0, 3), (5, 0, 0)), (0, 15, 0)),
+    ]:
+        length = sum(normal)  # one nonzero component
+        n, m = geometry.triangle_normal(wrap(a), wrap(b), wrap(c), sqrt)
+        assert [float(x) for x in n] == list(normal)
+        assert m == length
+        assert geometry.triangle_area(a, b, c) == 0.5 * length
+    octa = octahedron()
+    for a, b, c in octa.vertices[octa.triangles]:
+        n, m = geometry.triangle_normal(wrap(a), wrap(b), wrap(c), sqrt)
+        assert [float(x) for x in n] == (a + b + c).tolist()
+        assert m == math.sqrt(3.0)
+
+
+@pytest.mark.parametrize("wrap", [tuple, np.array])
+def test_side_lengths_of_pythagorean_quadruples(wrap):
+    """Integer sides whose squares sum to a square, in every axis order."""
+    for d, length in [((1, 2, 2), 3), ((2, 3, 6), 7), ((1, 4, 8), 9)]:
+        for i in range(3):
+            p = wrap(d[i:] + d[:i])
+            q = wrap((0, 0, 0))
+            assert geometry._squared_side(p, q) == length * length
+            assert geometry.dist(p, q) == length
 
 
 def test_equilateral_quality_is_two():

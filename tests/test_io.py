@@ -15,7 +15,7 @@ from decimesh import (
     write_off,
 )
 from decimesh.decimate import DecimationConfig
-from decimesh.errors import NonManifoldEdge, ParseError
+from decimesh.errors import InvalidConfig, NonManifoldEdge, ParseError
 from decimesh.shapes import icosphere, tetrahedron
 
 TET_OFF = """OFF
@@ -217,3 +217,12 @@ def test_file_helpers(tmp_path):
         "f 1 2 3\nf 1 4 2\nf 1 3 4\nf 2 4 3\n"
     )
     assert load_mesh(obj_path).n_faces == 4
+
+
+@pytest.mark.parametrize("name", ["tet.obj", "TET.OBJ", "missing/tet.off"])
+def test_save_mesh_writes_only_off_into_an_existing_directory(tmp_path, name):
+    """OBJ is read-only: a mesh saved as OFF text under an ``.obj`` name
+    could not be loaded back."""
+    with pytest.raises(InvalidConfig):
+        save_mesh(tetrahedron(), tmp_path / name)
+    assert list(tmp_path.iterdir()) == []

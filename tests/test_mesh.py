@@ -426,6 +426,21 @@ def test_edges_and_edge_table_agree(octa):
         assert octa.edge_triangles(a, b) == sorted(tris)
 
 
+def test_edges_meet_first_seen_order_after_collapses():
+    """``edges()`` lists each edge where a walk over the live triangles,
+    by id, first meets it, also once collapses have retired rows."""
+    mesh = icosphere(2)
+    for _ in range(20):
+        a, b = next(e for e in mesh.edges() if can_collapse(mesh, *e))
+        collapse_edge(mesh, a, b, mesh.position(a), warn_on_flip=False)
+    assert mesh.n_faces == len(mesh.triangles) - 40
+    seen = []
+    for t in mesh.live_triangle_ids().tolist():
+        a, b, c = mesh.triangles[t].tolist()
+        seen += [(min(u, v), max(u, v)) for u, v in ((a, b), (b, c), (c, a))]
+    assert list(mesh.edges()) == list(dict.fromkeys(seen))
+
+
 def test_collapse_check_truthiness():
     assert CollapseCheck(True, None)
     assert not CollapseCheck(False, "why")

@@ -1,8 +1,11 @@
-"""Count the code lines of ``src/decimesh``, per module and in total.
+"""Count the code lines of ``src/decimesh``, per module and in total,
+and the names its ``__all__`` exports.
 
 A code line holds at least one token that is not a comment; blank
 lines, comment lines and docstrings (found with ``ast``) do not count.
-A statement that spans several lines counts each of them.
+A statement that spans several lines counts each of them. The names
+are read from ``__init__.py`` with ``ast``, without importing the
+package.
 
 Run from the repository root:
 
@@ -40,6 +43,15 @@ def code_lines(text):
     return len(lines - docstrings)
 
 
+def exported_names(text):
+    """The names of the module-level ``__all__`` list or tuple."""
+    for node in ast.parse(text).body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return ast.literal_eval(node.value)
+    return []
+
+
 def main(package="src/decimesh"):
     total = 0
     for path in sorted(Path(package).glob("*.py")):
@@ -47,6 +59,8 @@ def main(package="src/decimesh"):
         total += n
         print(f"{n:6d}  {path.name}")
     print(f"{total:6d}  total")
+    init = Path(package) / "__init__.py"
+    print(f"{len(exported_names(init.read_text(encoding='utf-8'))):6d}  names in __all__")
 
 
 if __name__ == "__main__":

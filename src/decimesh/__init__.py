@@ -41,7 +41,6 @@ from .gb import (
     quadrature_rule,
     surface_area,
 )
-from .geometry import TriangleMetrics
 from .grid import UniformGrid, grid_build
 from .io import (
     load_atoms,
@@ -65,9 +64,7 @@ from .mesh import (
     collapse_edge,
     edge_star,
     quality_summary,
-    triangle_metrics,
     validate,
-    would_flip,
 )
 from .quadrics import (
     HomogeneousPlane,
@@ -105,7 +102,6 @@ __all__ = [
     "ReportRow",
     "SYMMETRIC_3PT",
     "TriangleMesh",
-    "TriangleMetrics",
     "UniformGrid",
     "born_radii",
     "can_collapse",
@@ -136,11 +132,9 @@ __all__ = [
     "save_atoms",
     "save_mesh",
     "surface_area",
-    "triangle_metrics",
     "validate",
     "vertex_quadric",
     "vol_quadric",
-    "would_flip",
     "write_atoms",
     "write_off",
 ]

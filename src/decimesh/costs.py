@@ -27,7 +27,14 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import blocks
-from .errors import CandidateInfeasible, DegenerateTriangle, InvalidConfig, InvalidInput
+from .errors import (
+    CandidateInfeasible,
+    DegenerateTriangle,
+    InvalidConfig,
+    InvalidInput,
+    _check_real,
+    _check_whole,
+)
 from .geometry import centroid as geometry_centroid
 from .geometry import _squared_side, cross, dist, dot, midpoint, sub
 from .geometry import triangle_quality, triangle_quality_array
@@ -62,10 +69,8 @@ class GbCostParams:
     variant: str = "edge_length"
 
     def __post_init__(self):
-        if not 0 < self.rho < math.inf:
-            raise InvalidConfig(f"rho must be positive and finite, got {self.rho}")
-        if not 0 <= self.lam < math.inf:
-            raise InvalidConfig(f"lam must be nonnegative and finite, got {self.lam}")
+        _check_real("rho", self.rho, positive=True)
+        _check_real("lam", self.lam, positive=False)
         if self.variant not in GB_VARIANTS:
             raise InvalidConfig(f"variant must be one of {GB_VARIANTS}")
 
@@ -411,17 +416,6 @@ def placement_for(
             f"every placement for ({star.v1}, {star.v2}) degenerates a triangle"
         )
     return best, best_cost
-
-
-def _check_whole(name, value, low):
-    """Raise ``InvalidConfig`` unless ``value`` is a whole number, as an
-    int, a numpy integer or a whole float, at least ``low``."""
-    try:
-        whole = value >= low and int(value) == value
-    except (TypeError, ValueError, OverflowError):
-        whole = False
-    if not whole:
-        raise InvalidConfig(f"{name} must be a whole number at least {low}, got {value!r}")
 
 
 def estimate_lambda(mesh, atoms, params: Optional[GbCostParams] = None,

@@ -42,7 +42,6 @@ import numpy as np
 from . import blocks
 from .costs import (
     COST_KINDS,
-    _check_whole,
     CollapseCandidate,
     GbCostParams,
     StarSums,
@@ -58,6 +57,7 @@ from .errors import (
     MissingAtoms,
     NotAnEdge,
     StarNotDisk,
+    _check_whole,
 )
 from .grid import grid_build
 from .mesh import (
@@ -163,6 +163,7 @@ class DecimationConfig:
             raise InvalidConfig(f"cost_kind must be one of {COST_KINDS}")
         _check_whole("target_faces", self.target_faces, 4)
         _check_whole("validate_every", self.validate_every, 0)
+        GbCostParams(rho=self.rho, lam=self.lam)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,12 @@ Two broad families matter for the CLI exit-code mapping: ``InputError``
 (bad files, invalid meshes, missing arguments -> exit 1) and
 ``NumericalError`` (a computation could not produce a trustworthy value
 -> exit 2). Everything else derives from ``DecimeshError``.
+:func:`_check_whole` and :func:`_check_real` are the one check of a
+count and of a real-valued setting, and raise ``InvalidConfig``.
 """
+
+import math
+import numbers
 
 
 class DecimeshError(Exception):
@@ -89,6 +94,29 @@ class InvalidConfig(InputError, ValueError):
     """A decimation, cost, energy or report setting is out of range (a
     ``ValueError`` too, for callers that catch bad arguments by that
     type)."""
+
+
+def _check_whole(name, value, low):
+    """Raise ``InvalidConfig`` unless ``value`` is a whole number, as an
+    int, a numpy integer or a whole float, at least ``low``."""
+    try:
+        whole = value >= low and int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise InvalidConfig(f"{name} must be a whole number at least {low}, got {value!r}")
+
+
+def _check_real(name, value, positive, finite=True):
+    """Raise ``InvalidConfig`` unless ``value`` is a real number (an int,
+    a float or a numpy scalar, not a string or None) that is positive,
+    or nonnegative when ``positive`` is false, and finite when
+    ``finite``."""
+    ok = isinstance(value, numbers.Real) and (value > 0 if positive else value >= 0)
+    if not ok or (finite and value == math.inf):
+        bound = "positive" if positive else "nonnegative"
+        raise InvalidConfig(f"{name} must be {bound}{' and finite' if finite else ''}, "
+                            f"got {value!r}")
 
 
 # --- solvation energetics ---------------------------------------------------

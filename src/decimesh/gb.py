@@ -34,6 +34,7 @@ from .errors import (
     NonPositiveIntegral,
     NumericalError,
     RadiiMismatch,
+    _check_real,
 )
 from .geometry import EPS_AREA, triangle_normal
 from .mesh import TriangleMesh
@@ -75,11 +76,8 @@ class GBParams:
     eps_w: float = 80.0
 
     def __post_init__(self):
-        if not (self.eps_p > 0 and self.eps_w > 0):
-            raise InvalidConfig(
-                "dielectric constants must be positive, got "
-                f"eps_p={self.eps_p}, eps_w={self.eps_w}"
-            )
+        _check_real("eps_p", self.eps_p, positive=True, finite=False)
+        _check_real("eps_w", self.eps_w, positive=True, finite=False)
 
     @property
     def tau(self):
@@ -423,10 +421,5 @@ def nonpolar_energy(mesh: TriangleMesh, gamma=0.005) -> float:
     not a calibrated cavity/dispersion model. A gamma that is not finite
     and nonnegative raises ``InvalidConfig``.
     """
-    _check_gamma(gamma)
+    _check_real("gamma", gamma, positive=False)
     return gamma * surface_area(mesh)
-
-
-def _check_gamma(gamma):
-    if not 0 <= gamma < math.inf:
-        raise InvalidConfig(f"gamma must be nonnegative and finite, got {gamma}")

@@ -17,7 +17,6 @@ everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,10 +54,6 @@ def triangle_normal(p0, p1, p2, sqrt):
     return n, sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
 
 
-def triangle_area(a, b, c):
-    return 0.5 * triangle_normal(a, b, c, math.sqrt)[1]
-
-
 def midpoint(a, b):
     return (0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]), 0.5 * (a[2] + b[2]))
 
@@ -68,28 +63,6 @@ def centroid(a, b, c):
         (a[0] + b[0] + c[0]) / 3.0,
         (a[1] + b[1] + c[1]) / 3.0,
         (a[2] + b[2] + c[2]) / 3.0,
-    )
-
-
-def circumcenter(a, b, c):
-    """Circumcenter of a 3D triangle (equidistant from all three vertices)."""
-    ab = sub(b, a)
-    ac = sub(c, a)
-    n = cross(ab, ac)
-    n2 = dot(n, n)
-    if n2 <= 4.0 * EPS_AREA * EPS_AREA:
-        raise DegenerateTriangle("circumcenter of a degenerate triangle")
-    ab2 = dot(ab, ab)
-    ac2 = dot(ac, ac)
-    # a + [ |ac|^2 (n x ac)... ] standard closed form:
-    # c0 = a + ( |ab|^2 (ac x n) + |ac|^2 (n x ab) ) / (2 n.n)  -- careful with order
-    t1 = cross(n, ab)
-    t2 = cross(ac, n)
-    inv = 0.5 / n2
-    return (
-        a[0] + (ac2 * t1[0] + ab2 * t2[0]) * inv,
-        a[1] + (ac2 * t1[1] + ab2 * t2[1]) * inv,
-        a[2] + (ac2 * t1[2] + ab2 * t2[2]) * inv,
     )
 
 
@@ -181,38 +154,3 @@ def is_well_centered(a, b, c):
     lb2 = _squared_side(c, a)
     lc2 = _squared_side(a, b)
     return (la2 + lb2 > lc2) & (lb2 + lc2 > la2) & (lc2 + la2 > lb2)
-
-
-@dataclass(frozen=True)
-class TriangleMetrics:
-    """Per-triangle geometric summary.
-
-    quality >= 2 (2 only for equilateral), area in A^2, center_offset is
-    the barycenter-to-circumcenter distance (0 iff equilateral).
-    """
-
-    quality: float
-    area: float
-    centroid: tuple
-    circumcenter: tuple
-    barycenter: tuple
-    well_centered: bool
-    center_offset: float
-
-
-def triangle_metrics(a, b, c):
-    """Compute TriangleMetrics for one triangle; DegenerateTriangle if flat."""
-    area = triangle_area(a, b, c)
-    if area <= EPS_AREA:
-        raise DegenerateTriangle(f"triangle area {area:.3g} below tolerance")
-    bary = centroid(a, b, c)
-    circ = circumcenter(a, b, c)
-    return TriangleMetrics(
-        quality=triangle_quality(a, b, c),
-        area=area,
-        centroid=bary,
-        circumcenter=circ,
-        barycenter=bary,
-        well_centered=is_well_centered(a, b, c),
-        center_offset=dist(bary, circ),
-    )

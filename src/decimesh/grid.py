@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import blocks
-from .errors import InvalidAtom, InvalidConfig
+from .errors import InvalidAtom, _check_real
 
 # the corners of a box as 0/1 offsets along each axis, and the sign of
 # each corner's summed-area count in the box's count
@@ -40,8 +40,7 @@ class UniformGrid:
     """
 
     def __init__(self, centers, cell_size):
-        if not 0 < cell_size < math.inf:
-            raise InvalidConfig(f"cell_size must be positive and finite, got {cell_size}")
+        _check_real("cell_size", cell_size, positive=True)
         self.cell_size = float(cell_size)
         centers = np.asarray(centers, dtype=float)
         if centers.size == 0:

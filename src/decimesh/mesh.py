@@ -94,9 +94,6 @@ class TriangleMesh:
         """Number of live triangles."""
         return self._n_faces
 
-    def vertex_alive(self, v):
-        return bool(self._vertex_alive[v])
-
     def position(self, v):
         """Position of vertex ``v`` as a plain float tuple."""
         x, y, z = self.vertices[v].tolist()
@@ -150,10 +147,6 @@ class TriangleMesh:
         out.discard(v)
         return out
 
-    def edge_triangles(self, v1, v2):
-        """Live triangle ids incident to the undirected edge (v1, v2)."""
-        return sorted(self._vertex_tris[v1] & self._vertex_tris[v2])
-
     def edges(self):
         """Iterate unique undirected edges as sorted (a, b) pairs, in the
         order :meth:`edge_table` first meets them."""
@@ -168,16 +161,6 @@ class TriangleMesh:
                 key = (u, v) if u < v else (v, u)
                 table.setdefault(key, []).append(t)
         return table
-
-    def enclosed_volume(self):
-        """Signed volume by the divergence theorem; positive for outward CCW."""
-        tris = self.live_triangle_array()
-        if len(tris) == 0:
-            return 0.0
-        a = self.vertices[tris[:, 0]]
-        b = self.vertices[tris[:, 1]]
-        c = self.vertices[tris[:, 2]]
-        return float(np.einsum("ij,ij->i", a, np.cross(b, c)).sum() / 6.0)
 
     def copy(self):
         out = TriangleMesh.__new__(TriangleMesh)
@@ -392,23 +375,6 @@ class EdgeStar:
         for i in range(len(self.lower) - 1):
             out.append((self.p1, self.lower_pos[i], self.lower_pos[i + 1]))
         return out
-
-    def ring_triangles_after(self, vbar):
-        """Same triangles with the apex moved to the placement ``vbar``."""
-        vbar = tuple(vbar)
-        out = []
-        for i in range(len(self.upper) - 1):
-            out.append((vbar, self.upper_pos[i], self.upper_pos[i + 1]))
-        for i in range(len(self.lower) - 1):
-            out.append((vbar, self.lower_pos[i], self.lower_pos[i + 1]))
-        return out
-
-    def centroids_before(self):
-        """Centers of the non-adjacent triangles, upper ring then lower."""
-        return [geometry.centroid(*t) for t in self.ring_triangles_before()]
-
-    def centroids_after(self, vbar):
-        return [geometry.centroid(*t) for t in self.ring_triangles_after(vbar)]
 
     def all_triangles_before(self):
         """Every triangle incident to v1 or v2, wings included."""
@@ -632,15 +598,6 @@ def _changed_normal_flips(mesh, v1, v2, vbar, changed):
     return flipped, nonpos
 
 
-def would_flip(mesh: TriangleMesh, v1, v2, vbar) -> bool:
-    """True if moving v1 and v2 to vbar reverses or degenerates any
-    surviving ring triangle's normal."""
-    shared = mesh._vertex_tris[v1] & mesh._vertex_tris[v2]
-    changed = (mesh._vertex_tris[v1] | mesh._vertex_tris[v2]) - shared
-    _, nonpos = _changed_normal_flips(mesh, v1, v2, tuple(vbar), changed)
-    return bool(nonpos)
-
-
 def _apply_collapse(mesh, v1, v2, vbar, flipped, shared=None) -> CollapseRecord:
     """Bookkeeping of a collapse whose legality was already established;
     ``shared`` is the two triangles of the edge, if the caller holds it."""
@@ -710,15 +667,6 @@ def collapse_edge(mesh: TriangleMesh, v1, v2, vbar, warn_on_flip=True) -> Collap
             stacklevel=2,
         )
     return record
-
-
-def triangle_metrics(mesh: TriangleMesh, t) -> geometry.TriangleMetrics:
-    """Geometric metrics of triangle ``t``; DegenerateTriangle if flat."""
-    a, b, c = mesh.triangle(t)
-    if a == b or b == c or c == a:
-        raise DegenerateTriangle(f"triangle {t} repeats a vertex index")
-    pa, pb, pc = mesh.triangle_positions(t)
-    return geometry.triangle_metrics(pa, pb, pc)
 
 
 @dataclass(frozen=True)

@@ -68,20 +68,6 @@ class Quadric(NamedTuple):
     ww: float
 
     @classmethod
-    def zero(cls):
-        return _ZERO
-
-    @classmethod
-    def from_plane(cls, plane):
-        a, b, c, d = plane
-        return cls(
-            a * a, a * b, a * c, a * d,
-            b * b, b * c, b * d,
-            c * c, c * d,
-            d * d,
-        )
-
-    @classmethod
     def from_planes(cls, planes):
         """Sum of p p^T over an iterable of (a, b, c, d) planes."""
         xx = xy = xz = xw = yy = yz = yw = zz = zw = ww = 0.0
@@ -103,23 +89,6 @@ class Quadric(NamedTuple):
     def evaluate(self, p):
         """[p, 1]^T Q [p, 1]: the summed squared plane distances at p."""
         return _quadric_value(self, p)
-
-    def matrix(self):
-        """Dense symmetric 4x4 numpy view of the packed entries."""
-        return np.array(
-            [
-                [self.xx, self.xy, self.xz, self.xw],
-                [self.xy, self.yy, self.yz, self.yw],
-                [self.xz, self.yz, self.zz, self.zw],
-                [self.xw, self.yw, self.zw, self.ww],
-            ]
-        )
-
-    def trace(self):
-        return self.xx + self.yy + self.zz + self.ww
-
-
-_ZERO = Quadric(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def vertex_quadric(mesh, v) -> Quadric:

@@ -22,17 +22,17 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from . import __version__
 from .costs import COST_KINDS, GbCostParams
 from .decimate import DecimationConfig, decimate
-from .errors import DecimeshError, InputError, InvalidConfig
-from .gb import GBParams, _check_gamma, born_radii, g_pol, quadrature_rule, surface_area
+from .errors import DecimeshError, InputError, InvalidConfig, _check_real
+from .gb import GBParams, born_radii, g_pol, quadrature_rule, surface_area
 from .io import _out_path, write_atoms, write_off
 from .mesh import quality_summary
 
 
 @dataclass(frozen=True)
 class HarnessParams:
-    """Pinned parameters for a comparison sweep. A ``gamma`` that is not
-    finite and nonnegative, or an unknown ``quadrature`` name, raises
-    ``InvalidConfig``."""
+    """Pinned parameters for a comparison sweep. A ``rho``, ``lam`` or
+    ``gamma`` that is out of range or not a real number, or an unknown
+    ``quadrature`` name, raises ``InvalidConfig``."""
 
     rho: float = 5.0
     lam: float = 1e-8
@@ -42,7 +42,8 @@ class HarnessParams:
     quadrature: str = "centroid_1pt"
 
     def __post_init__(self):
-        _check_gamma(self.gamma)
+        GbCostParams(rho=self.rho, lam=self.lam)
+        _check_real("gamma", self.gamma, positive=False)
         quadrature_rule(self.quadrature)
 
 
@@ -108,8 +109,8 @@ def report_format(path):
 
 def check_sweep(cost_kinds, params):
     """Raise ``InvalidConfig`` for what every cell of a sweep would
-    reject: an unknown cost kind, or a bad ``rho`` or ``lam``."""
-    GbCostParams(rho=params.rho, lam=params.lam)
+    reject: an unknown cost kind (``HarnessParams`` checks ``rho`` and
+    ``lam`` when built)."""
     for kind in cost_kinds:
         if kind not in COST_KINDS:
             raise InvalidConfig(f"unknown cost kind {kind!r}; expected one of {COST_KINDS}")

@@ -1,4 +1,5 @@
 import importlib
+import math
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 
 from decimesh import Atom, TriangleMesh, blocks
+from decimesh.geometry import centroid, cross, dot, sub
+from decimesh.mesh import _changed_normal_flips, can_collapse
 from decimesh.shapes import icosphere, octahedron, tetrahedron
 
 
@@ -90,6 +93,77 @@ def random_triangle(rng, scale=1.0):
         n = np.cross(pts[1] - pts[0], pts[2] - pts[0])
         if np.linalg.norm(n) > 1e-6 * scale * scale:
             return [tuple(p) for p in pts]
+
+
+def circumcenter(a, b, c):
+    """The point of the plane of triangle (a, b, c) equidistant from its
+    three corners, in closed form."""
+    ab, ac = sub(b, a), sub(c, a)
+    n = cross(ab, ac)
+    t1, t2 = cross(n, ab), cross(ac, n)
+    ab2, ac2, inv = dot(ab, ab), dot(ac, ac), 0.5 / dot(n, n)
+    return tuple(a[i] + (ac2 * t1[i] + ab2 * t2[i]) * inv for i in range(3))
+
+
+def enclosed_volume(mesh):
+    """Signed volume of a closed mesh by the divergence theorem;
+    positive when its triangles face outward."""
+    a, b, c = (mesh.vertices[col] for col in mesh.live_triangle_array().T)
+    return float(np.einsum("ij,ij->i", a, np.cross(b, c)).sum() / 6.0)
+
+
+def ring_centroids(star, vbar=None):
+    """Centroids of the star's non-wing triangles, in the order of
+    ``ring_triangles_before``; with ``vbar``, each with its apex (p2 on
+    the upper ring, p1 on the lower) moved to the placement ``vbar``."""
+    tris = star.ring_triangles_before()
+    if vbar is not None:
+        tris = [(tuple(vbar), u, w) for _, u, w in tris]
+    return [centroid(*t) for t in tris]
+
+
+def quadric_matrix(q):
+    """The dense symmetric 4x4 form of a packed quadric."""
+    xx, xy, xz, xw, yy, yz, yw, zz, zw, ww = q
+    return np.array([[xx, xy, xz, xw], [xy, yy, yz, yw], [xz, yz, zz, zw], [xw, yw, zw, ww]])
+
+
+def quadric_trace(q):
+    """Trace of a packed quadric: the scale its rounding is judged by."""
+    return q.xx + q.yy + q.zz + q.ww
+
+
+def nonpositive_normals(mesh, a, b, vbar):
+    """Triangles at a or b, less the two on the edge, whose normal
+    reverses or vanishes when a and b move to ``vbar``: the flip test
+    the Decimator and ``collapse_edge`` run."""
+    vt = mesh._vertex_tris
+    changed = (vt[a] | vt[b]) - (vt[a] & vt[b])
+    return _changed_normal_flips(mesh, a, b, tuple(vbar), changed)[1]
+
+
+def greedy_audit(dec):
+    """An ``audit`` for ``dec.run`` and the list it fills, one entry per
+    commit: the committed candidate; the cheapest fresh cost over every
+    edge that ``can_collapse`` allows and whose placement reverses no
+    normal; and whether the committed edge's fresh ``dec.candidate``
+    equals the committed placement and cost bit for bit."""
+    seen = []
+
+    def audit(m, cand):
+        best = math.inf
+        for (a, b) in m.edges():
+            if not can_collapse(m, a, b):
+                continue
+            res = dec.candidate(a, b)
+            if res is None or nonpositive_normals(m, a, b, res[0]):
+                continue
+            best = min(best, res[1])
+        fresh = dec.candidate(cand.v1, cand.v2)
+        same = fresh is not None and bits([*fresh[0], fresh[1]]) == bits([*cand.placement, cand.cost])
+        seen.append((cand, best, same))
+
+    return audit, seen
 
 
 def synthetic_molecule(n_atoms=20, level=3, radius=10.0, seed=7):

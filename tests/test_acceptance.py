@@ -26,12 +26,12 @@ from decimesh import (
     vertex_quadric,
 )
 from decimesh.decimate import DecimationConfig, Decimator
-from decimesh.mesh import can_collapse, edge_star, _changed_normal_flips
+from decimesh.mesh import edge_star
 from decimesh.quadrics import HomogeneousPlane
 from decimesh.report import HarnessParams
 from decimesh.shapes import icosphere, uv_sphere
 
-from conftest import random_rotation, synthetic_molecule
+from conftest import greedy_audit, quadric_trace, random_rotation, synthetic_molecule
 
 
 def report(n, text):
@@ -62,7 +62,7 @@ def test_criterion_1_quadric_nullspace():
         mesh = TriangleMesh(verts, faces)
         q1 = vertex_quadric(mesh, 0)
         q2 = vertex_quadric(mesh, 1)
-        trace_scale = (q1 + q2).trace()
+        trace_scale = quadric_trace(q1 + q2)
         for _ in range(5):
             point = embed(*rng.uniform(-3.0, 3.0, size=2))
             assert f_qe(q1, q2, point) <= 1e-9 * trace_scale
@@ -220,42 +220,26 @@ def test_criterion_5_brute_force_oracles():
 
 def test_criterion_6_greedy_exhaustive():
     total_checked = 0
-    for kind in ("qe", "vol", "pb", "gb_qe"):
+    for kind in ("qe", "vol", "pb", "gb", "gb_qe"):
         mesh = icosphere(2, radius=5.0)  # 320 faces, well under the 1000 cap
         rng = np.random.default_rng(106)
         mesh.vertices += rng.normal(scale=0.02, size=mesh.vertices.shape)
         atoms = [Atom(center=c, charge=1.0) for c in rng.normal(size=(10, 3)) * 2.0]
         cfg = DecimationConfig(cost_kind=kind, target_faces=240)
-        dec = Decimator(mesh, cfg, atoms=atoms if kind == "gb_qe" else None)
-        violations = []
-        commits = []
-
-        def audit(m, cand):
-            best = math.inf
-            for (a, b) in m.edges():
-                if not can_collapse(m, a, b):
-                    continue
-                res = dec.candidate(a, b)
-                if res is None:
-                    continue
-                point, cost = res
-                vt = m._vertex_tris
-                shared = vt[a] & vt[b]
-                _, nonpos = _changed_normal_flips(
-                    m, a, b, tuple(point), (vt[a] | vt[b]) - shared
-                )
-                if nonpos:
-                    continue
-                best = min(best, cost)
-            commits.append(cand.cost)
-            if cand.cost > best + 1e-12 * (1.0 + abs(best)):
-                violations.append((kind, cand.v1, cand.v2, cand.cost, best))
-
+        dec = Decimator(mesh, cfg, atoms=atoms if kind in ("gb", "gb_qe") else None)
+        audit, seen = greedy_audit(dec)
         dec.run(audit=audit)
+        violations = [(kind, cand.v1, cand.v2, cand.cost, best) for cand, best, _ in seen
+                      if cand.cost > best + 1e-12 * (1.0 + abs(best))]
         assert not violations, violations[:3]
-        assert len(commits) == 40
-        total_checked += len(commits)
-    report(6, f"{total_checked} committed collapses were exhaustive-scan minima")
+        # the committed entry is its edge's current candidate, not a
+        # stale one that happens to sit lower in the queue
+        stale = [(kind, cand.v1, cand.v2) for cand, _, same in seen if not same]
+        assert not stale, stale[:3]
+        assert len(seen) == 40
+        total_checked += len(seen)
+    report(6, f"{total_checked} committed collapses were exhaustive-scan minima "
+              "and their edges' fresh candidates")
 
 
 # --- 7. comparison harness ---------------------------------------------------------------

@@ -84,7 +84,7 @@ def test_collapse_sequences_keep_manifold_and_ids(level, seed, scale, data):
         positions = mesh.vertices.copy()
         tri_alive = mesh._tri_alive.copy()
         vert_alive = mesh._vertex_alive.copy()
-        wings = mesh.edge_triangles(a, b)
+        wings = sorted(mesh.incident_triangles(a) & mesh.incident_triangles(b))
         record = collapse_edge(mesh, a, b, vbar, warn_on_flip=False)
 
         assert list(record.removed_triangles) == wings

@@ -5,10 +5,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from decimesh import Atom, TriangleMesh, decimate, grid_build, validate
+from decimesh import (
+    Atom,
+    GBParams,
+    GbCostParams,
+    HarnessParams,
+    TriangleMesh,
+    decimate,
+    grid_build,
+    nonpolar_energy,
+    validate,
+)
 from decimesh.decimate import DecimationConfig, Decimator, _edge_keys
 from decimesh.errors import InvalidConfig, InvalidInput, MissingAtoms
-from decimesh.mesh import can_collapse, quality_summary, _changed_normal_flips
+from decimesh.mesh import quality_summary
 from decimesh.shapes import icosphere, octahedron, tetrahedron
 
 from conftest import (
@@ -16,6 +26,7 @@ from conftest import (
     assert_near_oracle,
     bench_checks,
     block_budget,
+    greedy_audit,
     live_entries,
     pinched_spheres,
     synthetic_molecule,
@@ -91,6 +102,34 @@ def test_config_takes_numpy_and_whole_float_counts():
     for target, every in ((np.int64(80), np.int32(7)), (80.0, 7.0)):
         got = decimate(icosphere(2), DecimationConfig("qe", target, validate_every=every))[1]
         assert got.records == want.records
+
+
+@pytest.mark.parametrize("make", [
+    lambda: HarnessParams(gamma="0.1"),
+    lambda: nonpolar_energy(icosphere(1), "0.1"),
+    lambda: GbCostParams(rho="5"),
+    lambda: GbCostParams(lam=None),
+    lambda: GBParams(eps_p="1"),
+    lambda: grid_build([], cell_size="5"),
+    lambda: DecimationConfig("qe", 100, rho="5"),
+    lambda: DecimationConfig("qe", 100, lam=None),
+    lambda: HarnessParams(rho="5"),
+    lambda: HarnessParams(lam="1e-8"),
+], ids=["harness-gamma", "nonpolar-gamma", "cost-rho", "cost-lam", "eps-p", "cell-size",
+        "config-rho", "config-lam", "harness-rho", "harness-lam"])
+def test_settings_need_real_numbers(make):
+    """A setting that is not a real number is an ``InvalidConfig`` when
+    the object is built, not a bare ``TypeError`` then or later."""
+    with pytest.raises(InvalidConfig):
+        make()
+
+
+def test_settings_take_numpy_scalars():
+    assert GbCostParams(rho=np.float64(2.5), lam=np.int64(0)) == GbCostParams(rho=2.5, lam=0)
+    assert HarnessParams(rho=np.int32(5), gamma=np.float32(0.25)).gamma == 0.25
+    assert GBParams(eps_p=np.float64(2.0), eps_w=np.int64(80)).tau == GBParams(2.0, 80.0).tau
+    assert grid_build([], cell_size=np.int64(3)).cell_size == 3.0
+    assert DecimationConfig("gb", 100, rho=np.float64(4.0), lam=np.float32(0.5)).rho == 4.0
 
 
 def test_icosphere_320_to_80_qe():
@@ -279,30 +318,12 @@ def test_audit_sees_greedy_minimum():
         mesh.vertices += rng.normal(scale=0.02, size=mesh.vertices.shape)
         cfg = DecimationConfig(cost_kind=kind, target_faces=40)
         dec = Decimator(mesh, cfg)
-        violations = []
-
-        def audit(m, cand):
-            best = math.inf
-            for (a, b) in m.edges():
-                if not can_collapse(m, a, b):
-                    continue
-                res = dec.candidate(a, b)
-                if res is None:
-                    continue
-                point, cost = res
-                vt = m._vertex_tris
-                shared = vt[a] & vt[b]
-                _, nonpos = _changed_normal_flips(
-                    m, a, b, tuple(point), (vt[a] | vt[b]) - shared
-                )
-                if nonpos:
-                    continue
-                best = min(best, cost)
-            if cand.cost > best + 1e-12 * (1.0 + abs(best)):
-                violations.append((cand.v1, cand.v2, cand.cost, best))
-
+        audit, seen = greedy_audit(dec)
         dec.run(audit=audit)
-        assert not violations
+        assert seen
+        assert not [(cand.v1, cand.v2, cand.cost, best) for cand, best, _ in seen
+                    if cand.cost > best + 1e-12 * (1.0 + abs(best))]
+        assert all(same for _, _, same in seen)
 
 
 def test_mesh_is_mutated_in_place():

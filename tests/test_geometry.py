@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from decimesh import geometry
+from decimesh import TriangleMesh, geometry, surface_area
 from decimesh.shapes import octahedron
 from decimesh.errors import DegenerateTriangle
 
-from conftest import random_rotation, random_triangle
+from conftest import circumcenter, random_rotation, random_triangle
 
 EQUILATERAL = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.5, math.sqrt(3.0) / 2.0, 0.0))
 # legs 1 and sqrt(3), hypotenuse 2: angles 30-60-90
@@ -30,7 +30,7 @@ def test_triangle_normal_of_exact_triangles(sqrt, wrap):
         n, m = geometry.triangle_normal(wrap(a), wrap(b), wrap(c), sqrt)
         assert [float(x) for x in n] == list(normal)
         assert m == length
-        assert geometry.triangle_area(a, b, c) == 0.5 * length
+        assert surface_area(TriangleMesh([a, b, c], [(0, 1, 2)])) == 0.5 * length
     octa = octahedron()
     for a, b, c in octa.vertices[octa.triangles]:
         n, m = geometry.triangle_normal(wrap(a), wrap(b), wrap(c), sqrt)
@@ -62,8 +62,6 @@ def test_right_triangle_quality():
 
 def test_zero_area_triangle_raises():
     with pytest.raises(DegenerateTriangle):
-        geometry.triangle_metrics((0, 0, 0), (1, 0, 0), (2, 0, 0))
-    with pytest.raises(DegenerateTriangle):
         geometry.triangle_quality((0, 0, 0), (1, 0, 0), (2, 0, 0))
 
 
@@ -74,12 +72,11 @@ def test_well_centered():
 
 
 def test_metrics_equilateral():
-    m = geometry.triangle_metrics(*EQUILATERAL)
-    assert m.quality == pytest.approx(2.0, abs=1e-12)
-    assert m.well_centered
-    assert m.center_offset < 1e-9
-    assert m.area == pytest.approx(math.sqrt(3.0) / 4.0, rel=1e-12)
-    assert m.barycenter == m.centroid
+    assert geometry.triangle_quality(*EQUILATERAL) == pytest.approx(2.0, abs=1e-12)
+    assert geometry.is_well_centered(*EQUILATERAL)
+    assert center_offset(*EQUILATERAL) < 1e-9
+    area = 0.5 * geometry.triangle_normal(*EQUILATERAL, math.sqrt)[1]
+    assert area == pytest.approx(math.sqrt(3.0) / 4.0, rel=1e-12)
 
 
 def test_quality_rigid_motion_and_scale_invariant():
@@ -117,20 +114,24 @@ def test_barycenter_exact_and_circumcenter_equidistant():
     rng = np.random.default_rng(3)
     for _ in range(300):
         a, b, c = random_triangle(rng)
-        m = geometry.triangle_metrics(a, b, c)
         expect = tuple(
             (a[i] + b[i] + c[i]) / 3.0 for i in range(3)
         )
-        assert m.barycenter == expect
-        da = geometry.dist(m.circumcenter, a)
-        db = geometry.dist(m.circumcenter, b)
-        dc = geometry.dist(m.circumcenter, c)
+        assert geometry.centroid(a, b, c) == expect
+        circ = circumcenter(a, b, c)
+        da = geometry.dist(circ, a)
+        db = geometry.dist(circ, b)
+        dc = geometry.dist(circ, c)
         assert db == pytest.approx(da, rel=1e-9)
         assert dc == pytest.approx(da, rel=1e-9)
 
 
+def center_offset(a, b, c):
+    """Distance from the barycenter to the circumcenter: 0 only for an
+    equilateral triangle."""
+    return geometry.dist(geometry.centroid(a, b, c), circumcenter(a, b, c))
+
+
 def test_center_offset_zero_only_for_equilateral():
-    m = geometry.triangle_metrics(*EQUILATERAL)
-    assert m.center_offset == pytest.approx(0.0, abs=1e-12)
-    skew = geometry.triangle_metrics((0, 0, 0), (2, 0, 0), (0.2, 0.9, 0))
-    assert skew.center_offset > 1e-3
+    assert center_offset(*EQUILATERAL) == pytest.approx(0.0, abs=1e-12)
+    assert center_offset((0, 0, 0), (2, 0, 0), (0.2, 0.9, 0)) > 1e-3

@@ -10,9 +10,7 @@ from decimesh import (
     collapse_edge,
     edge_star,
     quality_summary,
-    triangle_metrics,
     validate,
-    would_flip,
 )
 from decimesh.errors import (
     CollapseRejected,
@@ -29,7 +27,14 @@ from decimesh.errors import (
 from decimesh.geometry import is_well_centered, triangle_quality
 from decimesh.shapes import icosahedron, icosphere, octahedron, tetrahedron, uv_sphere
 
-from conftest import incident_rows, pinched_spheres, star_rows
+from conftest import (
+    enclosed_volume,
+    incident_rows,
+    nonpositive_normals,
+    pinched_spheres,
+    ring_centroids,
+    star_rows,
+)
 
 
 def bipyramid():
@@ -134,7 +139,7 @@ def test_nonfinite_vertex_rejected():
 def test_shapes_are_outward_oriented():
     for mesh in (tetrahedron(), octahedron(), icosahedron(), icosphere(2)):
         validate(mesh)
-        assert mesh.enclosed_volume() > 0
+        assert enclosed_volume(mesh) > 0
 
 
 # --- edge_star ----------------------------------------------------------------
@@ -190,7 +195,7 @@ def test_edge_star_ring_paths_are_simple(octa):
 
 def test_edge_star_centroids_match_triangles(octa):
     star = edge_star(octa, *next(octa.edges()))
-    for c, (p, q, r) in zip(star.centroids_before(), star.ring_triangles_before()):
+    for c, (p, q, r) in zip(ring_centroids(star), star.ring_triangles_before()):
         expect = tuple((p[i] + q[i] + r[i]) / 3.0 for i in range(3))
         assert c == expect
 
@@ -285,7 +290,7 @@ def test_collapse_octahedron_counts(octa):
     assert stats.euler_characteristic == 2
     assert rec.v1 == a and rec.v2 == b
     assert len(rec.removed_triangles) == 2
-    assert not octa.vertex_alive(b)
+    assert not octa._vertex_alive[b]
     assert octa.position(a) == (0.4, 0.4, 0.4)
 
 
@@ -311,8 +316,8 @@ def test_collapse_rejected_when_illegal(tetra):
 def test_collapse_flip_warning(octa):
     # dragging both endpoints far out along -x turns some ring triangle over
     a, b = 0, 4  # (+x vertex, +z pole)
-    assert would_flip(octa, a, b, (-4.0, 0.0, 0.0))
-    assert not would_flip(octa, a, b, (0.5, 0.0, 0.5))
+    assert nonpositive_normals(octa, a, b, (-4.0, 0.0, 0.0))
+    assert not nonpositive_normals(octa, a, b, (0.5, 0.0, 0.5))
     with pytest.warns(FlippedTriangleWarning):
         rec = collapse_edge(octa, a, b, (-4.0, 0.0, 0.0))
     assert rec.flipped_triangles
@@ -349,28 +354,28 @@ def test_repeated_collapses_320_to_80():
 def test_triangle_metrics_on_mesh():
     verts = [(0, 0, 0), (1, 0, 0), (0.5, math.sqrt(3) / 2, 0)]
     mesh = TriangleMesh(verts, [(0, 1, 2)])
-    m = triangle_metrics(mesh, 0)
-    assert m.quality == pytest.approx(2.0, abs=1e-12)
-    assert m.well_centered
+    corners = mesh.triangle_positions(0)
+    assert triangle_quality(*corners) == pytest.approx(2.0, abs=1e-12)
+    assert is_well_centered(*corners)
 
 
 def test_triangle_metrics_degenerate():
     mesh = TriangleMesh([(0, 0, 0), (1, 0, 0), (2, 0, 0)], [(0, 1, 2)])
     with pytest.raises(DegenerateTriangle):
-        triangle_metrics(mesh, 0)
+        triangle_quality(*mesh.triangle_positions(0))
 
 
 def test_quality_summary_matches_scalar(sphere320):
     qs = quality_summary(sphere320)
     per_tri = [
-        triangle_metrics(sphere320, t).quality
+        triangle_quality(*sphere320.triangle_positions(t))
         for t in sphere320.live_triangle_ids().tolist()
     ]
     assert qs.n_faces == 320
     assert qs.min_quality == pytest.approx(min(per_tri), rel=1e-12)
     assert qs.mean_quality == pytest.approx(sum(per_tri) / len(per_tri), rel=1e-12)
     wc = [
-        triangle_metrics(sphere320, t).well_centered
+        is_well_centered(*sphere320.triangle_positions(t))
         for t in sphere320.live_triangle_ids().tolist()
     ]
     assert qs.well_centered_fraction == pytest.approx(sum(wc) / len(wc))
@@ -423,7 +428,7 @@ def test_edges_and_edge_table_agree(octa):
     assert set(octa.edges()) == set(table)
     assert all(len(tris) == 2 for tris in table.values())
     for (a, b), tris in table.items():
-        assert octa.edge_triangles(a, b) == sorted(tris)
+        assert sorted(octa.incident_triangles(a) & octa.incident_triangles(b)) == sorted(tris)
 
 
 def test_edges_meet_first_seen_order_after_collapses():

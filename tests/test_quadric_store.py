@@ -34,6 +34,7 @@ from conftest import (
     bench_checks,
     bits,
     live_entries,
+    quadric_matrix,
     random_triangle,
 )
 
@@ -89,7 +90,7 @@ def test_minimize_packed_matches_minimize_quadric_on_rank_one_forms():
     rows, p1s, p2s = [], [], []
     for _ in range(50):
         plane = HomogeneousPlane.from_triangle(*random_triangle(rng))
-        rows.append(Quadric.from_plane(plane) + Quadric.from_plane(plane))
+        rows.append(Quadric.from_planes([plane]) + Quadric.from_planes([plane]))
         p1s.append(tuple(rng.normal(size=3).tolist()))
         p2s.append(tuple(rng.normal(size=3).tolist()))
     cands, costs = minimize_packed(np.array(rows), np.array(p1s), np.array(p2s))
@@ -113,7 +114,7 @@ def test_batch_candidates_equal_minimize_quadric(flatten):
         point = minimize_quadric(q, mesh.position(a), mesh.position(b))
         assert same_candidate(cand, (point, q.evaluate(point)))
         assert_candidate_set(cands[:, :, e], costs[:, e], q, mesh.position(a), mesh.position(b))
-        m = q.matrix()[:3, :3]
+        m = quadric_matrix(q)[:3, :3]
         scale = np.linalg.norm(m, axis=1).mean()
         singular += abs(np.linalg.det(m)) <= DET_GUARD * scale**3
     if flatten:
@@ -327,7 +328,7 @@ def assert_store_is_fresh(dec, centers):
             try:
                 want = vertex_quadric(mesh, v)
             except IsolatedVertex:
-                want = Quadric.zero()
+                want = Quadric.from_planes([])
         assert bits(dec._qv[v]) == bits(want), v
         if kind == "vol":
             continue

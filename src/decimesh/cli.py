@@ -13,8 +13,9 @@ import argparse
 import sys
 
 from . import __version__
+from .costs import COST_KINDS
 from .decimate import DecimationConfig, decimate
-from .errors import DecimeshError, InputError, NumericalError
+from .errors import DecimeshError, InputError, MissingAtoms, NumericalError, _check_real
 from .gb import (
     GBParams,
     KCAL_PER_E2_ANGSTROM,
@@ -42,46 +43,44 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check mesh invariants and print counts")
-    p.add_argument("--mesh", required=True)
+    # flags that several subcommands take, each declared once
+    mesh = argparse.ArgumentParser(add_help=False)
+    mesh.add_argument("--mesh", required=True)
+    energetics = argparse.ArgumentParser(add_help=False)
+    energetics.add_argument("--atoms", required=True)
+    energetics.add_argument("--quadrature", choices=["1pt", "3pt"], default="1pt")
+    energetics.add_argument("--eps-p", type=float, default=HarnessParams.eps_p)
+    energetics.add_argument("--eps-w", type=float, default=HarnessParams.eps_w)
+    gb_cost = argparse.ArgumentParser(add_help=False)
+    gb_cost.add_argument("--rho", type=float, default=HarnessParams.rho)
+    gb_cost.add_argument("--lambda", dest="lam", type=float, default=HarnessParams.lam)
 
-    p = sub.add_parser("decimate", help="collapse edges down to a face target")
-    p.add_argument("--mesh", required=True)
-    p.add_argument("--cost", required=True,
-                   choices=["qe", "vol", "pb", "gb", "gb_qe"])
+    sub.add_parser("validate", parents=[mesh], help="check mesh invariants and print counts")
+
+    p = sub.add_parser("decimate", parents=[mesh, gb_cost],
+                       help="collapse edges down to a face target")
+    p.add_argument("--cost", required=True, choices=COST_KINDS)
     p.add_argument("--target-faces", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--atoms")
-    p.add_argument("--rho", type=float, default=5.0)
-    p.add_argument("--lambda", dest="lam", type=float, default=1e-8)
     p.add_argument("--no-veto-flips", action="store_true",
                    help="apply collapses even when a ring triangle flips")
-    p.add_argument("--validate-every", type=int, default=0, metavar="K",
-                   help="run full validation every K collapses (0 = off)")
+    p.add_argument("--validate-every", type=int, default=DecimationConfig.validate_every,
+                   metavar="K", help="run full validation every K collapses (0 = off)")
 
-    p = sub.add_parser("energy", help="Born radii and polarization energy")
-    p.add_argument("--mesh", required=True)
-    p.add_argument("--atoms", required=True)
-    p.add_argument("--quadrature", choices=["1pt", "3pt"], default="1pt")
-    p.add_argument("--eps-p", type=float, default=1.0)
-    p.add_argument("--eps-w", type=float, default=80.0)
-    p.add_argument("--gamma", type=float, default=0.005)
+    p = sub.add_parser("energy", parents=[mesh, energetics],
+                       help="Born radii and polarization energy")
+    p.add_argument("--gamma", type=float, default=HarnessParams.gamma)
     p.add_argument("--units", choices=["raw", "kcal"], default="raw")
 
-    p = sub.add_parser("compare", help="decimate under several costs and compare")
-    p.add_argument("--mesh", required=True)
-    p.add_argument("--atoms", required=True)
+    p = sub.add_parser("compare", parents=[mesh, energetics, gb_cost],
+                       help="decimate under several costs and compare")
     p.add_argument("--costs", required=True,
                    help="comma-separated cost kinds, e.g. qe,vol,gb_qe")
     p.add_argument("--targets", required=True,
                    help="comma-separated face targets (counts or percents)")
     p.add_argument("--report", action="append", required=True,
                    help="output path ending in .csv or .json (repeatable)")
-    p.add_argument("--rho", type=float, default=5.0)
-    p.add_argument("--lambda", dest="lam", type=float, default=1e-8)
-    p.add_argument("--eps-p", type=float, default=1.0)
-    p.add_argument("--eps-w", type=float, default=80.0)
-    p.add_argument("--quadrature", choices=["1pt", "3pt"], default="1pt")
     return parser
 
 
@@ -122,15 +121,17 @@ def _cmd_decimate(args):
 
 
 def _cmd_energy(args):
-    gamma = HarnessParams(gamma=args.gamma).gamma
+    _check_real("gamma", args.gamma, positive=False)
     params = GBParams(eps_p=args.eps_p, eps_w=args.eps_w)
     mesh = load_mesh(args.mesh)
     atoms = load_atoms(args.atoms)
+    if not atoms:
+        raise MissingAtoms(f"atom file {args.atoms} holds no atoms")
     rule = quadrature_rule(args.quadrature)
     radii = born_radii(mesh, atoms, rule=rule)
     energy = g_pol(atoms, params, radii=radii)
     area = surface_area(mesh)
-    nonpolar = gamma * area
+    nonpolar = args.gamma * area
     unit = "e^2/A"
     if args.units == "kcal":
         energy *= KCAL_PER_E2_ANGSTROM
@@ -156,7 +157,7 @@ def _cmd_compare(args):
         eps_w=args.eps_w,
         quadrature=args.quadrature,
     )
-    check_sweep(costs, params)
+    check_sweep(costs)
     mesh = load_mesh(args.mesh)
     atoms = load_atoms(args.atoms)
     report = run_compare(mesh, atoms, costs, targets, params=params)
@@ -193,10 +194,5 @@ def cli_main(argv=None) -> int:
         return 1
 
 
-def main(argv=None) -> int:
-    """Console-script entry point."""
-    return cli_main(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(cli_main())

@@ -153,8 +153,8 @@ class DecimationConfig:
 
     cost_kind: str
     target_faces: int
-    rho: float = 5.0
-    lam: float = 1e-8
+    rho: float = GbCostParams.rho
+    lam: float = GbCostParams.lam
     veto_flips: bool = True
     validate_every: int = 0
 
@@ -429,7 +429,7 @@ class Decimator:
         self._push_edges(*_edge_keys(mesh.triangles, n), append=True)
         heapq.heapify(self._heap)
 
-    def refresh(self, center, ring=None):
+    def refresh(self, center):
         """Rewrite the store rows of ``center`` (the merged vertex, the
         only one that moved, so the only atom ball to re-query) and its
         1-ring, and recompute the candidates of every edge with an
@@ -439,8 +439,7 @@ class Decimator:
         endpoint rows and an unchanged legality status, so its queued
         candidate is still exact. Returns the refreshed edge set.
         """
-        if ring is None:
-            ring = self.mesh.vertex_neighbors(center)
+        ring = self.mesh.vertex_neighbors(center)
         a, b = np.divmod(self._batch_refresh(center, ring), len(self.mesh.vertices))
         return set(zip(a.tolist(), b.tolist()))
 

@@ -83,7 +83,7 @@ class CandidateInfeasible(NumericalError):
 # --- decimation driver ------------------------------------------------------
 
 class MissingAtoms(InputError):
-    """Atom-dependent cost requested without an atom set."""
+    """An atom-dependent cost or energy requested without an atom set."""
 
 
 class InvalidInput(InputError):

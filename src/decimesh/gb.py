@@ -165,7 +165,7 @@ def mesh_quadrature(mesh: TriangleMesh, rule=CENTROID_1PT):
     )
 
 
-def born_radii(mesh: TriangleMesh, atoms, rule=CENTROID_1PT, eps_dist=EPS_DIST):
+def born_radii(mesh: TriangleMesh, atoms, rule=CENTROID_1PT):
     """Effective Born radii from the surface flux quadrature.
 
     The inverse radius of each atom is the quadrature sum of
@@ -185,7 +185,7 @@ def born_radii(mesh: TriangleMesh, atoms, rule=CENTROID_1PT, eps_dist=EPS_DIST):
 
     Fills each atom's ``born_radius`` slot and returns the radii array.
     Raises ``AtomTooCloseToSurface`` for the first atom (in list order)
-    with a quadrature node within ``eps_dist``, ``NonPositiveIntegral``
+    with a quadrature node within ``EPS_DIST``, ``NonPositiveIntegral``
     (listing the atom indices) if any integral is non-positive.
     """
     nodes, weights, normals = mesh_quadrature(mesh, rule)
@@ -202,9 +202,9 @@ def born_radii(mesh: TriangleMesh, atoms, rule=CENTROID_1PT, eps_dist=EPS_DIST):
     rows = bounds[0][1]  # the first block is the longest
     sums = np.empty(n)
     # the least squared node distance of each atom in a block that has
-    # one within eps_dist; +inf elsewhere
+    # one within EPS_DIST; +inf elsewhere
     near = np.full(n, math.inf)
-    eps2 = eps_dist * eps_dist
+    eps2 = EPS_DIST * EPS_DIST
 
     def work(draws, scratch):
         for lo, hi in draws:

@@ -195,11 +195,20 @@ def write_atoms(atoms) -> str:
     return "\n".join(out) + "\n"
 
 
+def _read_text(path):
+    """The text of the file at ``path``; a file that is not UTF-8 text
+    raises ``ParseError`` naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
 def load_mesh(path, validate_mesh=True) -> TriangleMesh:
     """Load a mesh file by extension (.off or .obj)."""
     path = str(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     if path.lower().endswith(".obj"):
         return parse_obj(text, validate_mesh=validate_mesh)
     return parse_off(text, validate_mesh=validate_mesh)
@@ -231,8 +240,7 @@ def _mesh_out_path(path):
 
 
 def load_atoms(path):
-    with open(str(path), "r", encoding="utf-8") as fh:
-        return parse_atoms(fh.read())
+    return parse_atoms(_read_text(str(path)))
 
 
 def save_atoms(atoms, path):

@@ -2,8 +2,10 @@
 
 The mesh keeps stable ids under mutation: collapsing an edge retires the
 second vertex's slot and tombstones two triangle rows, so every id handed
-out before a collapse remains meaningful afterwards. Retired slots are
-compacted only on export (see :mod:`decimesh.io`).
+out before a collapse remains meaningful afterwards. A tombstoned row
+holds -1 in every corner, and that -1 is the only record of which
+triangles are live. Retired slots are compacted only on export (see
+:mod:`decimesh.io`).
 
 Only closed surfaces are supported: molecular interfaces have no
 boundary, and rejecting open meshes at validation removes a whole class
@@ -70,7 +72,6 @@ class TriangleMesh:
         self.vertices = verts
         self.triangles = tris
         self._vertex_alive = np.ones(len(verts), dtype=bool)
-        self._tri_alive = np.ones(len(tris), dtype=bool)
         self._n_vertices = len(verts)
         self._n_faces = len(tris)
         self._vertex_tris = [set() for _ in range(len(verts))]
@@ -117,19 +118,12 @@ class TriangleMesh:
             tuple(verts[c].tolist()),
         )
 
-    def live_triangles(self):
-        """Live triangle rows as an iterator of int tuples."""
-        alive = self._tri_alive
-        for t in range(len(self.triangles)):
-            if alive[t]:
-                yield self.triangle(t)
-
     def live_triangle_ids(self):
-        return np.flatnonzero(self._tri_alive)
+        return np.flatnonzero(self.triangles[:, 0] >= 0)
 
     def live_triangle_array(self):
         """Live triangle rows as an (F, 3) integer array."""
-        return self.triangles.compress(self._tri_alive, axis=0)
+        return self.triangles.compress(self.triangles[:, 0] >= 0, axis=0)
 
     def live_vertex_ids(self):
         return np.flatnonzero(self._vertex_alive)
@@ -167,7 +161,6 @@ class TriangleMesh:
         out.vertices = self.vertices.copy()
         out.triangles = self.triangles.copy()
         out._vertex_alive = self._vertex_alive.copy()
-        out._tri_alive = self._tri_alive.copy()
         out._n_vertices = self._n_vertices
         out._n_faces = self._n_faces
         out._vertex_tris = [set(s) for s in self._vertex_tris]
@@ -598,11 +591,9 @@ def _changed_normal_flips(mesh, v1, v2, vbar, changed):
     return flipped, nonpos
 
 
-def _apply_collapse(mesh, v1, v2, vbar, flipped, shared=None) -> CollapseRecord:
+def _apply_collapse(mesh, v1, v2, vbar, flipped, shared) -> CollapseRecord:
     """Bookkeeping of a collapse whose legality was already established;
-    ``shared`` is the two triangles of the edge, if the caller holds it."""
-    if shared is None:
-        shared = mesh._vertex_tris[v1] & mesh._vertex_tris[v2]
+    ``shared`` is the two triangles of the edge."""
     vertex_tris = mesh._vertex_tris
     tris = mesh.triangles
     row_cache = mesh._row_cache
@@ -620,7 +611,6 @@ def _apply_collapse(mesh, v1, v2, vbar, flipped, shared=None) -> CollapseRecord:
         for v in row_cache.pop(t, None) or tris[t].tolist():
             vertex_tris[v].discard(t)
         tris[t] = -1
-        mesh._tri_alive[t] = False
     # rewritten rows already replaced v2, so clear what remains
     mesh._vertex_tris[v2].clear()
     mesh._vertex_alive[v2] = False
@@ -659,7 +649,7 @@ def collapse_edge(mesh: TriangleMesh, v1, v2, vbar, warn_on_flip=True) -> Collap
     shared = mesh._vertex_tris[v1] & mesh._vertex_tris[v2]
     changed = (mesh._vertex_tris[v1] | mesh._vertex_tris[v2]) - shared
     flipped, _ = _changed_normal_flips(mesh, v1, v2, vbar, changed)
-    record = _apply_collapse(mesh, v1, v2, vbar, flipped)
+    record = _apply_collapse(mesh, v1, v2, vbar, flipped, shared)
     if flipped and warn_on_flip:
         warnings.warn(
             f"collapse ({v1}, {v2}) reversed normals of triangles {record.flipped_triangles}",

@@ -242,16 +242,14 @@ def plane_quadric_rows(vertices, tris):
     return packed_outer(plane), ~(m <= 2.0 * EPS_AREA)
 
 
-def candidate_set(p1, p2, fourth=None):
+def candidate_set(p1, p2):
     """The discrete placements {midpoint, p1, p2, fourth} of E edges
-    from (E, 3) arrays, coordinate-first: (3, 4, E); row 3 is left
-    unset without ``fourth``."""
+    from (E, 3) arrays, coordinate-first: (3, 4, E); row 3, the fourth
+    point, is left for the caller to set."""
     cands = np.empty((3, 4, len(p1)))
     cands[:, 1] = p1.T
     cands[:, 2] = p2.T
     np.multiply(0.5, cands[:, 1] + cands[:, 2], out=cands[:, 0])
-    if fourth is not None:
-        cands[:, 3] = np.asarray(fourth, dtype=float).T
     return cands
 
 

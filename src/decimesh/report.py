@@ -30,19 +30,20 @@ from .mesh import quality_summary
 
 @dataclass(frozen=True)
 class HarnessParams:
-    """Pinned parameters for a comparison sweep. A ``rho``, ``lam`` or
-    ``gamma`` that is out of range or not a real number, or an unknown
-    ``quadrature`` name, raises ``InvalidConfig``."""
+    """Pinned parameters for a comparison sweep. A ``rho``, ``lam``,
+    ``eps_p``, ``eps_w`` or ``gamma`` that is out of range or not a real
+    number, or an unknown ``quadrature`` name, raises ``InvalidConfig``."""
 
-    rho: float = 5.0
-    lam: float = 1e-8
-    eps_p: float = 1.0
-    eps_w: float = 80.0
+    rho: float = GbCostParams.rho
+    lam: float = GbCostParams.lam
+    eps_p: float = GBParams.eps_p
+    eps_w: float = GBParams.eps_w
     gamma: float = 0.005
     quadrature: str = "centroid_1pt"
 
     def __post_init__(self):
         GbCostParams(rho=self.rho, lam=self.lam)
+        GBParams(eps_p=self.eps_p, eps_w=self.eps_w)
         _check_real("gamma", self.gamma, positive=False)
         quadrature_rule(self.quadrature)
 
@@ -107,10 +108,10 @@ def report_format(path):
     raise InvalidConfig(f"report path must end in .csv or .json: {path}")
 
 
-def check_sweep(cost_kinds, params):
+def check_sweep(cost_kinds):
     """Raise ``InvalidConfig`` for what every cell of a sweep would
-    reject: an unknown cost kind (``HarnessParams`` checks ``rho`` and
-    ``lam`` when built)."""
+    reject: an unknown cost kind (``HarnessParams`` checks the rest
+    when built)."""
     for kind in cost_kinds:
         if kind not in COST_KINDS:
             raise InvalidConfig(f"unknown cost kind {kind!r}; expected one of {COST_KINDS}")
@@ -171,7 +172,7 @@ def run_compare(mesh, atoms, cost_kinds, face_targets, params=None) -> Compariso
     params = params or HarnessParams()
     rule = quadrature_rule(params.quadrature)
     gb_params = GBParams(eps_p=params.eps_p, eps_w=params.eps_w)
-    check_sweep(cost_kinds, params)
+    check_sweep(cost_kinds)
     targets = resolve_targets(mesh.n_faces, face_targets)
 
     mesh_text = write_off(mesh)
@@ -193,61 +194,40 @@ def run_compare(mesh, atoms, cost_kinds, face_targets, params=None) -> Compariso
     }
     report = ComparisonReport(metadata=metadata)
 
-    t0 = time.perf_counter()
+    def row(kind, target, step):
+        """The row of one cell, timed: ``step()`` gives the cell's mesh
+        and its collapses from the input, and a ``DecimeshError`` or
+        ``ValueError`` raised on the way is the row's error."""
+        t0 = time.perf_counter()
+        try:
+            work, collapses = step()
+            cell = {"actual_faces": work.n_faces, "collapses": collapses,
+                    **_measure(work, atoms, gb_params, rule, params.gamma, ref_g)}
+        except (DecimeshError, ValueError) as exc:
+            cell = {"error": f"{type(exc).__name__}: {exc}"}
+        return ReportRow(kind, target, wall_time_s=time.perf_counter() - t0, **cell)
+
+    # the reference row has no drift; every later row drifts from its g_pol
     ref_g = None
-    try:
-        reference = _measure(mesh, atoms, gb_params, rule, params.gamma)
-        report.rows.append(
-            ReportRow(
-                cost_kind="reference",
-                target_faces=mesh.n_faces,
-                actual_faces=mesh.n_faces,
-                collapses=0,
-                wall_time_s=time.perf_counter() - t0,
-                **reference,
-            )
-        )
-        ref_g = reference["g_pol"]
-    except DecimeshError as exc:
-        report.rows.append(
-            ReportRow(
-                cost_kind="reference",
-                target_faces=mesh.n_faces,
-                wall_time_s=time.perf_counter() - t0,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        )
+    report.rows.append(row("reference", mesh.n_faces, lambda: (mesh, 0)))
+    ref_g = report.rows[0].g_pol
 
     for kind in cost_kinds:
         work = mesh.copy()
         collapses = 0
-        rows = {}
-        for target in sorted(set(targets), reverse=True):
-            t0 = time.perf_counter()
-            try:
-                config = DecimationConfig(
-                    cost_kind=kind, target_faces=target, rho=params.rho, lam=params.lam
-                )
-                needs_atoms = kind in ("gb", "gb_qe")
-                work, trace = decimate(work, config, atoms=atoms if needs_atoms else None)
-                collapses += trace.n_collapses
-                cell = _measure(work, atoms, gb_params, rule, params.gamma,
-                                reference_g=ref_g)
-                rows[target] = ReportRow(
-                    cost_kind=kind,
-                    target_faces=target,
-                    actual_faces=work.n_faces,
-                    collapses=collapses,
-                    wall_time_s=time.perf_counter() - t0,
-                    **cell,
-                )
-            except (DecimeshError, ValueError) as exc:
-                rows[target] = ReportRow(
-                    cost_kind=kind,
-                    target_faces=target,
-                    wall_time_s=time.perf_counter() - t0,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
+        needs_atoms = kind in ("gb", "gb_qe")
+
+        def step_down(target):
+            nonlocal work, collapses
+            config = DecimationConfig(
+                cost_kind=kind, target_faces=target, rho=params.rho, lam=params.lam
+            )
+            work, trace = decimate(work, config, atoms=atoms if needs_atoms else None)
+            collapses += trace.n_collapses
+            return work, collapses
+
+        rows = {target: row(kind, target, lambda: step_down(target))
+                for target in sorted(set(targets), reverse=True)}
         report.rows.extend(replace(rows[target]) for target in targets)
 
     _append_informational_notes(report)

@@ -60,7 +60,7 @@ def icosphere(level, radius=1.0, center=(0.0, 0.0, 0.0)):
     """Subdivided icosahedron projected to a sphere; 20 * 4**level faces."""
     mesh = icosahedron(1.0)
     verts = [tuple(v) for v in mesh.vertices]
-    faces = list(mesh.live_triangles())
+    faces = mesh.triangles.tolist()
     for _ in range(level):
         midpoint = {}
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from decimesh import HarnessParams, load_mesh, save_atoms, save_mesh, validate
-from decimesh.cli import cli_main, main
+from decimesh.cli import cli_main
 from decimesh.errors import InvalidConfig
 from decimesh.gb import Atom
 from decimesh.shapes import icosphere, tetrahedron
@@ -57,6 +57,25 @@ def test_validate_over_claiming_header(tmp_path, capsys):
 
 def test_missing_file(capsys):
     assert cli_main(["validate", "--mesh", "/nonexistent.off"]) == 1
+
+
+# bytes that are not UTF-8 text: an executable's header and every byte value
+BINARY = b"\x7fELF\x02\x01\x01\x00" + bytes(range(256))
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--mesh", "BINARY"],
+    ["energy", "--mesh", "BINARY", "--atoms", "ATOMS"],
+    ["energy", "--mesh", "SPHERE", "--atoms", "BINARY"],
+], ids=["validate-mesh", "energy-mesh", "energy-atoms"])
+def test_binary_input_file_exits_1(tmp_path, sphere_file, centered_atom_file, capsys, argv):
+    binary = tmp_path / "binary.off"
+    binary.write_bytes(BINARY)
+    names = {"BINARY": str(binary), "SPHERE": sphere_file, "ATOMS": centered_atom_file}
+    assert cli_main([names.get(a, a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ParseError: {binary} is not UTF-8 text")
+    assert "Traceback" not in err
 
 
 def test_unknown_flag_reports_and_exits_1(tet_file, capsys):
@@ -224,6 +243,28 @@ def test_energy_kcal_units(sphere_file, centered_atom_file, capsys):
     assert "kcal/mol" in line
     value = float(line.split()[1])
     assert value == pytest.approx(-0.5 * (1 - 1 / 80) * 332.06, rel=0.02)
+
+
+def test_energy_without_atoms_exits_1(tmp_path, sphere_file, capsys):
+    """An atom file with no atom records is an input error, reported
+    before any energy is printed."""
+    atoms = tmp_path / "empty.txt"
+    atoms.write_text("# x y z charge r_vdw\n")
+    assert cli_main(["energy", "--mesh", sphere_file, "--atoms", str(atoms)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: MissingAtoms: atom file {atoms} holds no atoms\n"
+
+
+def test_compare_without_atoms_keeps_its_rows(tmp_path, sphere_file, capsys):
+    atoms = tmp_path / "empty.txt"
+    atoms.write_text("")
+    json_path = tmp_path / "rep.json"
+    code = cli_main(["compare", "--mesh", sphere_file, "--atoms", str(atoms),
+                     "--costs", "qe,gb_qe", "--targets", "50%", "--report", str(json_path)])
+    assert code == 0
+    rows = json.loads(json_path.read_text())["rows"]
+    assert [r["cost_kind"] for r in rows] == ["reference", "qe", "gb_qe"]
 
 
 def test_energy_numerical_failure_exits_2(tmp_path, sphere_file, capsys):
@@ -403,10 +444,6 @@ def test_cli_runs_bit_for_bit_reproducible(tmp_path):
         ) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
-
-
-def test_main_alias():
-    assert main(["validate", "--mesh", "/nonexistent.off"]) == 1
 
 
 def test_version_flag(capsys):

@@ -478,8 +478,8 @@ def pb_engine(stars, analytic=None, per_candidate=False):
         analytic = [None] * len(stars)
     analytic = np.array([(math.nan,) * 3 if a is None else a for a in analytic])
     verts, renumbered = star_batch(stars)
-    cands = candidate_set(np.array([s.p1 for s in stars]), np.array([s.p2 for s in stars]),
-                          analytic)
+    cands = candidate_set(np.array([s.p1 for s in stars]), np.array([s.p2 for s in stars]))
+    cands[:, 3] = analytic.T
     if per_candidate:
         return cands.transpose(1, 2, 0), pb_candidate_costs(verts, renumbered, cands)
     points, costs = pb_placements(verts, renumbered, cands)

@@ -182,7 +182,7 @@ def test_missing_atoms():
 
 
 def test_invalid_input_rejected(tetra):
-    broken = TriangleMesh(tetra.vertices, list(tetra.live_triangles())[:3])
+    broken = TriangleMesh(tetra.vertices, tetra.live_triangle_array()[:3])
     with pytest.raises(InvalidInput):
         decimate(broken, DecimationConfig(cost_kind="qe", target_faces=4))
 

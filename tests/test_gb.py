@@ -42,7 +42,7 @@ from conftest import bits, block_budget, cores, random_rotation, synthetic_molec
 
 
 def flipped(mesh):
-    faces = [(a, c, b) for (a, b, c) in mesh.live_triangles()]
+    faces = [(a, c, b) for (a, b, c) in mesh.live_triangle_array().tolist()]
     return TriangleMesh(mesh.vertices, faces)
 
 

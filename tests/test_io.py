@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -98,7 +100,7 @@ def test_round_trip_exact():
     mesh = parse_off(TET_OFF)
     again = parse_off(write_off(mesh))
     assert np.array_equal(again.vertices, mesh.vertices)
-    assert list(again.live_triangles()) == list(mesh.live_triangles())
+    assert np.array_equal(again.live_triangle_array(), mesh.live_triangle_array())
 
 
 def test_round_trip_after_decimation_compacts():
@@ -125,7 +127,8 @@ def test_write_off_leaves_row_cache_alone():
     assert mesh._row_cache == cached
     # the faces, remapped to the compacted vertex ids, in live-row order
     remap = {v: i for i, v in enumerate(mesh.live_vertex_ids().tolist())}
-    want = [f"3 {remap[a]} {remap[b]} {remap[c]}" for (a, b, c) in mesh.live_triangles()]
+    want = [f"3 {remap[a]} {remap[b]} {remap[c]}"
+            for (a, b, c) in mesh.live_triangle_array().tolist()]
     assert text.splitlines()[-600:] == want
 
 
@@ -204,7 +207,7 @@ def test_file_helpers(tmp_path):
     path = tmp_path / "tet.off"
     save_mesh(mesh, path)
     again = load_mesh(path)
-    assert list(again.live_triangles()) == list(mesh.live_triangles())
+    assert np.array_equal(again.live_triangle_array(), mesh.live_triangle_array())
 
     atoms = parse_atoms("0 0 0 1.0 1.5\n")
     apath = tmp_path / "mol.atoms"
@@ -217,6 +220,18 @@ def test_file_helpers(tmp_path):
         "f 1 2 3\nf 1 4 2\nf 1 3 4\nf 2 4 3\n"
     )
     assert load_mesh(obj_path).n_faces == 4
+
+
+@pytest.mark.parametrize("load, name", [
+    (load_mesh, "bin.off"), (load_mesh, "bin.obj"), (load_atoms, "bin.txt"),
+])
+def test_loaders_reject_binary_files_naming_the_path(tmp_path, load, name):
+    """A file that is not UTF-8 text is a ``ParseError`` that names the
+    path, not a bare ``UnicodeDecodeError``."""
+    path = tmp_path / name
+    path.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(256)))
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))} is not UTF-8 text"):
+        load(path)
 
 
 @pytest.mark.parametrize("name", ["tet.obj", "TET.OBJ", "missing/tet.off"])

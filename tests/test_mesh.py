@@ -80,7 +80,7 @@ def test_three_triangles_on_one_edge_rejected():
 
 
 def test_open_mesh_rejected(tetra):
-    mesh = TriangleMesh(tetra.vertices, list(tetra.live_triangles())[:3])
+    mesh = TriangleMesh(tetra.vertices, tetra.live_triangle_array()[:3])
     with pytest.raises(NonManifoldEdge) as info:
         validate(mesh)
     assert info.value.count == 1
@@ -100,7 +100,7 @@ def test_repeated_vertex_index_rejected():
 
 
 def test_inconsistent_orientation_rejected(tetra):
-    faces = list(tetra.live_triangles())
+    faces = tetra.live_triangle_array().tolist()
     a, b, c = faces[0]
     faces[0] = (a, c, b)
     mesh = TriangleMesh(tetra.vertices, faces)
@@ -110,7 +110,7 @@ def test_inconsistent_orientation_rejected(tetra):
 
 def test_unreferenced_vertex_warns(tetra):
     verts = np.vstack([tetra.vertices, [5.0, 5.0, 5.0]])
-    mesh = TriangleMesh(verts, list(tetra.live_triangles()))
+    mesh = TriangleMesh(verts, tetra.live_triangle_array())
     with pytest.warns(UnreferencedVertexWarning):
         stats = validate(mesh)
     assert stats.is_closed_manifold

@@ -166,7 +166,8 @@ def test_rebuild_after_moving_vertices(kind):
         elif kind == "pb":
             # the queue's pb engine, fed the oracle's analytic candidate
             analytic = minimize_quadric(q1 + q2, star.p1, star.p2)
-            cands = candidate_set(np.array([star.p1]), np.array([star.p2]), [analytic])
+            cands = candidate_set(np.array([star.p1]), np.array([star.p2]))
+            cands[:, 3, 0] = analytic
             points, costs = pb_placements(mesh.vertices, [star], cands)
             want = (tuple(points[0].tolist()), float(costs[0]))
         else:

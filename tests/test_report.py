@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 from dataclasses import asdict
 
 import pytest
@@ -211,3 +212,14 @@ def test_one_decimation_pass_per_kind(monkeypatch, sweep_molecule):
 def test_unknown_quadrature_rejected_by_harness_params(name):
     with pytest.raises(InvalidConfig, match="unknown quadrature rule"):
         HarnessParams(quadrature=name)
+
+
+@pytest.mark.parametrize("eps", [
+    {"eps_p": -1.0}, {"eps_w": math.nan}, {"eps_p": "1"}, {"eps_w": 0.0},
+], ids=["negative", "nan", "string", "zero"])
+def test_harness_params_check_eps_when_built(eps):
+    """A bad dielectric constant is an ``InvalidConfig`` when the
+    parameters are built, as a bad rho, lam or gamma is, not only when a
+    sweep runs."""
+    with pytest.raises(InvalidConfig, match="eps_"):
+        HarnessParams(**eps)

@@ -388,14 +388,7 @@ def placement_for(
     if q1 is not None and q2 is not None:
         candidates.append(minimize_quadric(q1 + q2, p1, p2))
 
-    if cost_kind == "pb":
-        try:
-            ring_qualities(star)
-        except DegenerateTriangle as exc:
-            raise CandidateInfeasible(
-                f"star of ({star.v1}, {star.v2}) has a degenerate triangle"
-            ) from exc
-    else:  # gb / gb_qe
+    if cost_kind != "pb":  # gb / gb_qe
         params = params or GbCostParams()
         if cost_kind == "gb_qe":
             params = replace(params, variant="qe_term")
@@ -413,7 +406,7 @@ def placement_for(
             best, best_cost = point, c
     if best is None:
         raise CandidateInfeasible(
-            f"every placement for ({star.v1}, {star.v2}) degenerates a triangle"
+            f"star of ({star.v1}, {star.v2}) or each placement for it has a degenerate triangle"
         )
     return best, best_cost
 

@@ -47,6 +47,10 @@ KCAL_PER_E2_ANGSTROM = 332.06
 # energy downstream.
 EPS_DIST = 1e-6
 
+# Default surface tension of the placeholder non-polar term, in raw
+# energy units per A^2 (see :func:`nonpolar_energy`).
+GAMMA = 0.005
+
 
 @dataclass
 class Atom:
@@ -63,7 +67,10 @@ class Atom:
     born_radius: Optional[float] = None
 
     def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float).reshape(3)
+        try:
+            self.center = np.asarray(self.center, dtype=float).reshape(3)
+        except (TypeError, ValueError):
+            raise InvalidAtom(f"atom center must be 3 coordinates, got {self.center!r}") from None
         if not np.isfinite(self.center).all():
             raise InvalidAtom(f"atom center must be finite, got {self.center.tolist()}")
 
@@ -413,7 +420,7 @@ def surface_area(mesh: TriangleMesh) -> float:
     return float(0.5 * triangle_normal(a, b, c, np.sqrt)[1].sum())
 
 
-def nonpolar_energy(mesh: TriangleMesh, gamma=0.005) -> float:
+def nonpolar_energy(mesh: TriangleMesh, gamma=GAMMA) -> float:
     """Placeholder non-polar term: gamma * surface area.
 
     A conventional surface-tension estimate (gamma in raw energy units

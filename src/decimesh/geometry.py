@@ -1,9 +1,9 @@
 """Triangle geometry used throughout the package.
 
-The helpers take plain ``(x, y, z)`` float tuples in the hot decimation
-loop, where small-array numpy would not pay off. Written per component,
-most also run unchanged on coordinate-first numpy arrays (3, ...), which
-is how the batched engine and :func:`decimesh.mesh.quality_summary`
+The helpers take plain ``(x, y, z)`` float tuples, as the scalar cost
+oracles and plane quadrics do. Written per component, most also run
+unchanged on coordinate-first numpy arrays (3, ...), which is how the
+batched decimation engine and :func:`decimesh.mesh.quality_summary`
 share them; :func:`triangle_quality_array` is :func:`triangle_quality`
 on arrays, from the same squared sides and cosines.
 
@@ -71,35 +71,34 @@ def triangle_quality(a, b, c):
 
     2 for an equilateral triangle, growing without bound as the triangle
     degenerates. Unit-independent. Works on squared side lengths (one
-    sqrt for the side ratio, law of cosines for the angles); this sits
-    in the innermost decimation loop, hence the unrolled min/max picks.
+    sqrt for the side ratio, law of cosines for the angles). The scalar
+    oracle of :func:`triangle_quality_array`, which the decimation
+    engine and the quality survey call.
     """
     la2 = _squared_side(b, c)
     lb2 = _squared_side(c, a)
     lc2 = _squared_side(a, b)
-    if la2 <= lb2:
-        lmin2, lmax2 = (la2, lc2 if lc2 >= lb2 else lb2) if la2 <= lc2 else (lc2, lb2)
-    else:
-        lmin2, lmax2 = (lb2, lc2 if lc2 >= la2 else la2) if lb2 <= lc2 else (lc2, la2)
+    lmin2 = min(la2, lb2, lc2)
     if lmin2 <= 0.0:
         raise DegenerateTriangle("triangle with a zero-length side")
     # law of cosines on squared lengths, clamped against rounding
-    ca = _cosine(lb2, lc2, la2, math.sqrt)
-    cb = _cosine(lc2, la2, lb2, math.sqrt)
-    cc = _cosine(la2, lb2, lc2, math.sqrt)
+    try:
+        ca = _cosine(lb2, lc2, la2, math.sqrt)
+        cb = _cosine(lc2, la2, lb2, math.sqrt)
+        cc = _cosine(la2, lb2, lc2, math.sqrt)
+    except ZeroDivisionError:
+        # two sides so short that their squared product underflows
+        raise DegenerateTriangle("triangle sides too short for an angle") from None
     ca = 1.0 if ca > 1.0 else (-1.0 if ca < -1.0 else ca)
     cb = 1.0 if cb > 1.0 else (-1.0 if cb < -1.0 else cb)
     cc = 1.0 if cc > 1.0 else (-1.0 if cc < -1.0 else cc)
     aa = math.acos(ca)
     ab = math.acos(cb)
     ac = math.acos(cc)
-    if aa <= ab:
-        amin, amax = (aa, ac if ac >= ab else ab) if aa <= ac else (ac, ab)
-    else:
-        amin, amax = (ab, ac if ac >= aa else aa) if ab <= ac else (ac, aa)
+    amin = min(aa, ab, ac)
     if amin <= 0.0:
         raise DegenerateTriangle("triangle with a zero angle")
-    return math.sqrt(lmax2 / lmin2) + amax / amin
+    return math.sqrt(max(la2, lb2, lc2) / lmin2) + max(aa, ab, ac) / amin
 
 
 def triangle_quality_array(a, b, c):

@@ -135,26 +135,20 @@ class TriangleMesh:
     def vertex_neighbors(self, v):
         """Set of vertex ids sharing an edge with ``v``."""
         out = set()
-        rows = self._row_cache
         for t in self._vertex_tris[v]:
-            out.update(rows.get(t) or self.triangle(t))
+            out.update(self.triangle(t))
         out.discard(v)
         return out
 
     def edges(self):
         """Iterate unique undirected edges as sorted (a, b) pairs, in the
-        order :meth:`edge_table` first meets them."""
-        return iter(self.edge_table())
-
-    def edge_table(self):
-        """Materialize the undirected edge -> incident triangle-id map."""
-        table = {}
-        rows = self.live_triangle_array().tolist()
-        for t, (a, b, c) in zip(self.live_triangle_ids().tolist(), rows):
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = (u, v) if u < v else (v, u)
-                table.setdefault(key, []).append(t)
-        return table
+        order a walk over the live triangles by id, taking each row's
+        sides (a, b), (b, c), (c, a) in turn, first meets them."""
+        tris = self.live_triangle_array()
+        u, w = tris.ravel(), tris[:, [1, 2, 0]].ravel()
+        lo, hi = np.minimum(u, w), np.maximum(u, w)
+        first = np.sort(np.unique(lo * len(self.vertices) + hi, return_index=True)[1])
+        return zip(lo[first].tolist(), hi[first].tolist())
 
     def copy(self):
         out = TriangleMesh.__new__(TriangleMesh)
@@ -380,10 +374,9 @@ class EdgeStar:
 def _umbrella_successors(mesh, center):
     """CCW successor map around ``center``: triangle (center, u, w) -> u: w."""
     succ = {}
-    rows = mesh._row_cache
     triangle = mesh.triangle
     for t in mesh._vertex_tris[center]:
-        a, b, c = rows.get(t) or triangle(t)
+        a, b, c = triangle(t)
         if a == center:
             u, w = b, c
         elif b == center:
@@ -523,21 +516,20 @@ def can_collapse(mesh: TriangleMesh, v1, v2, shared=None, neighbors=None) -> Col
     if mesh.n_vertices - 1 < 4:
         return CollapseCheck(False, "too_few_vertices")
 
-    rows = mesh._row_cache
     triangle = mesh.triangle
     existing = set()
     for t in vertex_tris[v1] - shared:
-        existing.add(frozenset(rows.get(t) or triangle(t)))
+        existing.add(frozenset(triangle(t)))
     for t in vertex_tris[v2] - shared:
         # each of v2's rows holds v2 once: its corners with v1 for v2
-        rewritten = frozenset(rows.get(t) or triangle(t)) - {v2} | {v1}
+        rewritten = frozenset(triangle(t)) - {v2} | {v1}
         if len(rewritten) < 3 or rewritten in existing:
             return CollapseCheck(False, "duplicate_triangle")
         existing.add(rewritten)
 
     wings = set()
     for t in shared:
-        wings.update(rows.get(t) or triangle(t))
+        wings.update(triangle(t))
     wings -= {v1, v2}
     if neighbors is None:
         neighbors = (mesh.vertex_neighbors(v1), mesh.vertex_neighbors(v2))

@@ -23,7 +23,7 @@ from . import __version__
 from .costs import COST_KINDS, GbCostParams
 from .decimate import DecimationConfig, decimate
 from .errors import DecimeshError, InputError, InvalidConfig, _check_real
-from .gb import GBParams, born_radii, g_pol, quadrature_rule, surface_area
+from .gb import GAMMA, GBParams, born_radii, g_pol, quadrature_rule, surface_area
 from .io import _out_path, write_atoms, write_off
 from .mesh import quality_summary
 
@@ -38,7 +38,7 @@ class HarnessParams:
     lam: float = GbCostParams.lam
     eps_p: float = GBParams.eps_p
     eps_w: float = GBParams.eps_w
-    gamma: float = 0.005
+    gamma: float = GAMMA
     quadrature: str = "centroid_1pt"
 
     def __post_init__(self):
@@ -179,7 +179,7 @@ def run_compare(mesh, atoms, cost_kinds, face_targets, params=None) -> Compariso
     atoms_text = write_atoms(atoms)
     metadata = {
         "version": __version__,
-        "params": asdict(params),
+        "params": {**asdict(params), "quadrature": rule.name},
         "cost_kinds": list(cost_kinds),
         "face_targets": targets,
         "input_faces": mesh.n_faces,

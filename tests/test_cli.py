@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from decimesh import HarnessParams, load_mesh, save_atoms, save_mesh, validate
+from decimesh import HarnessParams, load_mesh, run_compare, save_atoms, save_mesh, validate
 from decimesh.cli import cli_main
 from decimesh.errors import InvalidConfig
 from decimesh.gb import Atom
@@ -361,6 +361,9 @@ def test_compare_writes_reports(tmp_path, capsys):
     data = json.loads(json_path.read_text())
     assert len(data["rows"]) == 5
     assert csv_path.read_text().count("\n") == 6  # header + 5 rows
+    # the CLI's defaults are the API's: the same sweep reports the same params
+    api = run_compare(mesh, atoms, ["qe", "gb_qe"], ["50%", "25%"], HarnessParams())
+    assert data["metadata"]["params"] == api.metadata["params"]
 
 
 @pytest.mark.parametrize("targets", ["abc", "nan", "inf", "1e400", "50%,x%"])

@@ -352,6 +352,13 @@ def test_atom_non_finite_center_is_input_error():
         Atom(center=(0, math.inf, 0), charge=1.0)
 
 
+@pytest.mark.parametrize("center", [(1, 2), (1, 2, 3, 4), "abc", None],
+                         ids=["two", "four", "text", "none"])
+def test_atom_center_not_three_coordinates_is_invalid_atom(center):
+    with pytest.raises(InvalidAtom, match="atom center must be 3 coordinates"):
+        Atom(center=center, charge=1.0)
+
+
 def test_gpol_radii_length_mismatch_is_input_error():
     atoms = [Atom(center=(0, 0, 0), charge=1.0)]
     with pytest.raises(RadiiMismatch, match="2 radii given for 1 atoms") as info:

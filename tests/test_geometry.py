@@ -1,7 +1,10 @@
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decimesh import TriangleMesh, geometry, surface_area
 from decimesh.shapes import octahedron
@@ -135,3 +138,56 @@ def center_offset(a, b, c):
 def test_center_offset_zero_only_for_equilateral():
     assert center_offset(*EQUILATERAL) == pytest.approx(0.0, abs=1e-12)
     assert center_offset((0, 0, 0), (2, 0, 0), (0.2, 0.9, 0)) > 1e-3
+
+
+_coord = st.floats(-10.0, 10.0, allow_nan=False)
+_point = st.tuples(_coord, _coord, _coord)
+_tiny = st.integers(3, 18).map(lambda k: 10.0 ** -k)
+
+
+@st.composite
+def _sliver(draw):
+    """A third corner within a tiny distance of the line through two."""
+    a, b, d = draw(_point), draw(_point), draw(_point)
+    t, e = draw(st.floats(-1.0, 2.0)), draw(_tiny)
+    return a, b, tuple(a[i] + t * (b[i] - a[i]) + e * d[i] for i in range(3))
+
+
+@st.composite
+def _near_coincident(draw):
+    """Two corners within a tiny distance of each other."""
+    a, c, d = draw(_point), draw(_point), draw(_point)
+    e = draw(_tiny)
+    return a, tuple(a[i] + e * d[i] for i in range(3)), c
+
+
+_lattice = st.tuples(*[st.tuples(*[st.integers(-2, 2).map(float)] * 3)] * 3)
+_triangles = st.one_of(
+    st.tuples(_point, _point, _point), _sliver(), _near_coincident(), _lattice
+)
+
+
+def _scalar_quality(tri):
+    """``triangle_quality`` of ``tri``, or the error it raises."""
+    try:
+        return geometry.triangle_quality(*tri)
+    except DegenerateTriangle as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_triangles)
+def test_quality_twins_agree_under_every_corner_order(tri):
+    """The scalar quality keeps its bits, or its error, under all six
+    corner orders; the array twin is NaN exactly where the scalar
+    raises and agrees to 1e-14 relative elsewhere."""
+    orders = list(permutations(tri))
+    scalar = [_scalar_quality(t) for t in orders]
+    assert len({s.hex() if isinstance(s, float) else s for s in scalar}) == 1
+    a, b, c = np.array(orders).transpose(1, 2, 0)  # (3, 6) per corner
+    array = geometry.triangle_quality_array(a, b, c)
+    for s, q in zip(scalar, array.tolist()):
+        if isinstance(s, str):
+            assert math.isnan(q)
+        else:
+            assert q == pytest.approx(s, rel=1e-14, abs=0.0)

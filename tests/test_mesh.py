@@ -423,12 +423,12 @@ def test_quality_summary_scores_needle_inf():
     assert sum(qs.histogram.values()) == 0
 
 
-def test_edges_and_edge_table_agree(octa):
-    table = octa.edge_table()
-    assert set(octa.edges()) == set(table)
-    assert all(len(tris) == 2 for tris in table.values())
-    for (a, b), tris in table.items():
-        assert sorted(octa.incident_triangles(a) & octa.incident_triangles(b)) == sorted(tris)
+def test_edges_are_unique_sorted_and_shared_by_two_triangles(octa):
+    edges = list(octa.edges())
+    assert len(edges) == len(set(edges)) == 12
+    for a, b in edges:
+        assert a < b
+        assert len(octa.incident_triangles(a) & octa.incident_triangles(b)) == 2
 
 
 def test_edges_meet_first_seen_order_after_collapses():

@@ -10,7 +10,7 @@ from decimesh import report as report_module
 from decimesh import run_compare
 from decimesh.decimate import DecimationConfig, decimate
 from decimesh.errors import DecimeshError, InputError, InvalidConfig
-from decimesh.gb import GBParams, quadrature_rule
+from decimesh.gb import CENTROID_1PT, GBParams, quadrature_rule
 from decimesh.report import HarnessParams, ReportRow, _measure, resolve_targets
 
 from conftest import synthetic_molecule
@@ -212,6 +212,14 @@ def test_one_decimation_pass_per_kind(monkeypatch, sweep_molecule):
 def test_unknown_quadrature_rejected_by_harness_params(name):
     with pytest.raises(InvalidConfig, match="unknown quadrature rule"):
         HarnessParams(quadrature=name)
+
+
+@pytest.mark.parametrize("quadrature", ["centroid_1pt", "1pt", CENTROID_1PT],
+                         ids=["name", "short-name", "rule"])
+def test_report_names_the_quadrature_rule_canonically(quadrature):
+    mesh, atoms = synthetic_molecule(n_atoms=3, level=1, radius=5.0, seed=6)
+    report = run_compare(mesh, atoms, ["qe"], [0.5], HarnessParams(quadrature=quadrature))
+    assert report.metadata["params"]["quadrature"] == "centroid_1pt"
 
 
 @pytest.mark.parametrize("eps", [

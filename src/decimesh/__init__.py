@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .costs import (
     COST_KINDS,
-    CollapseCandidate,
     GbCostParams,
     estimate_lambda,
     f_ac,
@@ -79,7 +78,6 @@ __all__ = [
     "Atom",
     "CENTROID_1PT",
     "COST_KINDS",
-    "CollapseCandidate",
     "CollapseCheck",
     "CollapseRecord",
     "ComparisonReport",

@@ -75,18 +75,6 @@ class GbCostParams:
             raise InvalidConfig(f"variant must be one of {GB_VARIANTS}")
 
 
-@dataclass(frozen=True)
-class CollapseCandidate:
-    """One queued collapse: an edge, its chosen placement and cost."""
-
-    v1: int
-    v2: int
-    placement: tuple
-    cost: float
-    cost_kind: str
-    version: int = 0
-
-
 # --- volumetric cost --------------------------------------------------------
 
 
@@ -273,8 +261,9 @@ def gb_placements(cands, quadric_costs, sums, lam):
             first = np.broadcast_to(np.sqrt(_squared_side(p1, p2)), (4, p1.shape[1]))
         costs = first if lam == 0.0 else first + lam * atom_term
     # a NaN fourth point (no quadric) is never picked: where the cost
-    # reads the point it is NaN, so inf, and elsewhere it ties the midpoint
-    return first_cheapest(cands, np.where(np.isnan(costs), np.inf, costs))
+    # reads the point it is NaN, which counts as inf, and elsewhere it
+    # ties the midpoint
+    return first_cheapest(cands, costs)
 
 
 # --- atomic-center cost -----------------------------------------------------
@@ -365,48 +354,48 @@ def placement_for(
     shared fallback chain). pb and gb evaluate the discrete candidate
     set {midpoint, v1, v2, quadric-optimal point}, dropping candidates
     that flatten a triangle; ties break toward the earlier candidate in
-    that order. Raises ``CandidateInfeasible`` when no candidate
-    survives.
+    that order. A NaN cost counts as ``inf``, as in
+    ``quadrics.first_cheapest``, the batched engine's picker: raises
+    ``CandidateInfeasible`` when the picked cost is NaN or ``inf``,
+    which is where the engine drops the edge as infeasible.
     """
     if cost_kind not in COST_KINDS:
         raise ValueError(f"unknown cost kind {cost_kind!r}")
     p1, p2 = star.p1, star.p2
 
-    if cost_kind == "qe":
-        if q1 is None or q2 is None:
+    if cost_kind in ("qe", "vol"):
+        if cost_kind == "vol":
+            q = vol_quadric(star)
+        elif q1 is None or q2 is None:
             raise ValueError("qe cost needs both endpoint quadrics")
-        q = q1 + q2
-        point = minimize_quadric(q, p1, p2)
-        return point, q.evaluate(point)
+        else:
+            q = q1 + q2
+        best = minimize_quadric(q, p1, p2)
+        best_cost = q.evaluate(best)
+    else:
+        candidates = [midpoint(p1, p2), p1, p2]
+        if q1 is not None and q2 is not None:
+            candidates.append(minimize_quadric(q1 + q2, p1, p2))
+        if cost_kind != "pb":  # gb / gb_qe
+            params = params or GbCostParams()
+            if cost_kind == "gb_qe":
+                params = replace(params, variant="qe_term")
 
-    if cost_kind == "vol":
-        vq = vol_quadric(star)
-        point = minimize_quadric(vq, p1, p2)
-        return point, vq.evaluate(point)
-
-    candidates = [midpoint(p1, p2), p1, p2]
-    if q1 is not None and q2 is not None:
-        candidates.append(minimize_quadric(q1 + q2, p1, p2))
-
-    if cost_kind != "pb":  # gb / gb_qe
-        params = params or GbCostParams()
-        if cost_kind == "gb_qe":
-            params = replace(params, variant="qe_term")
-
-    best, best_cost = None, math.inf
-    for point in candidates:
-        try:
-            if cost_kind == "pb":
-                c = f_pb(star, point)
-            else:
-                c = f_gb(star, point, atom_positions, params, q1, q2)
-        except DegenerateTriangle:
-            continue
-        if c < best_cost:
-            best, best_cost = point, c
-    if best is None:
+        best_cost = math.inf
+        for point in candidates:
+            try:
+                if cost_kind == "pb":
+                    c = f_pb(star, point)
+                else:
+                    c = f_gb(star, point, atom_positions, params, q1, q2)
+            except DegenerateTriangle:
+                continue
+            if c < best_cost:
+                best, best_cost = point, c
+    if not best_cost < math.inf:
         raise CandidateInfeasible(
-            f"star of ({star.v1}, {star.v2}) or each placement for it has a degenerate triangle"
+            f"no placement for ({star.v1}, {star.v2}) has a finite cost: its star or each"
+            " placement has a degenerate triangle, or the cost overflows"
         )
     return best, best_cost
 

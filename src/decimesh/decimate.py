@@ -42,7 +42,6 @@ import numpy as np
 from . import blocks
 from .costs import (
     COST_KINDS,
-    CollapseCandidate,
     GbCostParams,
     StarSums,
     gb_placements,
@@ -168,6 +167,10 @@ class DecimationConfig:
 
 @dataclass(frozen=True)
 class TraceRecord:
+    """One commit: the edge (v1 survives, v2 is retired), the
+    placement and cost it was queued with, the face count after it, and
+    how many ring triangles' normals it reversed."""
+
     v1: int
     v2: int
     placement: tuple
@@ -523,7 +526,10 @@ class Decimator:
     # -- the greedy loop ---------------------------------------------------
 
     def step(self, audit=None):
-        """Commit the cheapest valid collapse; None when the queue is dry."""
+        """Commit the cheapest valid collapse and return its
+        :class:`TraceRecord`; None when the queue is dry. ``audit``, if
+        given, is called as ``audit(mesh, record)`` just before the
+        commit, with the record about to be appended to the trace."""
         heap = self._heap
         mesh = self.mesh
         trace = self.trace
@@ -539,7 +545,7 @@ class Decimator:
             if not self._live(entry):
                 trace.stale_pops += 1
                 continue
-            cost, key, stamp, slot = entry
+            cost, key, _, slot = entry
             a, b = divmod(key, n)
             ta, tb = vertex_tris[a], vertex_tris[b]
             shared = ta & tb
@@ -553,19 +559,14 @@ class Decimator:
             if cfg.veto_flips and nonpos:
                 trace.reject("flip_veto")
                 continue
+            record = TraceRecord(a, b, point, cost, mesh.n_faces - 2, len(flipped))
             if audit is not None:
-                audit(
-                    mesh,
-                    CollapseCandidate(a, b, point, cost, cfg.cost_kind, stamp),
-                )
+                audit(mesh, record)
             # the commit rewrites or removes every triangle of b: void
             # their slots, so the entries of b's edges pop as stale
             self._stamps.reshape(-1, 3)[list(tb)] = -1
-            record = _apply_collapse(mesh, a, b, point, flipped, shared)
-            trace.records.append(
-                TraceRecord(a, b, point, cost, mesh.n_faces,
-                            flipped=len(record.flipped_triangles))
-            )
+            _apply_collapse(mesh, a, b, point, shared)
+            trace.records.append(record)
             # a's neighbours after the commit: both ends' but the two
             ring = near[0] | near[1]
             ring -= {a, b}
@@ -597,7 +598,8 @@ def decimate(mesh: TriangleMesh, config: DecimationConfig, atoms=None, audit=Non
     Returns (mesh, trace). The trace's ``queue_exhausted`` flag is set
     when every remaining candidate was rejected before the face target
     was reached. ``audit``, if given, is called as ``audit(mesh,
-    candidate)`` immediately before each commit, which is how the test
-    suite checks the greedy property by exhaustive scan.
+    record)`` immediately before each commit, with the
+    :class:`TraceRecord` about to be appended to the trace, which is how
+    the test suite checks the greedy property by exhaustive scan.
     """
     return Decimator(mesh, config, atoms=atoms).run(audit=audit)

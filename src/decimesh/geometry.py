@@ -73,7 +73,10 @@ def triangle_quality(a, b, c):
     degenerates. Unit-independent. Works on squared side lengths (one
     sqrt for the side ratio, law of cosines for the angles). The scalar
     oracle of :func:`triangle_quality_array`, which the decimation
-    engine and the quality survey call.
+    engine and the quality survey call: it raises
+    ``DegenerateTriangle`` exactly where the twin gives NaN, a NaN
+    cosine (squared sides that overflow) included, so neither answer
+    depends on the order of the corners.
     """
     la2 = _squared_side(b, c)
     lb2 = _squared_side(c, a)
@@ -81,24 +84,21 @@ def triangle_quality(a, b, c):
     lmin2 = min(la2, lb2, lc2)
     if lmin2 <= 0.0:
         raise DegenerateTriangle("triangle with a zero-length side")
-    # law of cosines on squared lengths, clamped against rounding
     try:
-        ca = _cosine(lb2, lc2, la2, math.sqrt)
-        cb = _cosine(lc2, la2, lb2, math.sqrt)
-        cc = _cosine(la2, lb2, lc2, math.sqrt)
+        cosines = (_cosine(lb2, lc2, la2, math.sqrt), _cosine(lc2, la2, lb2, math.sqrt),
+                   _cosine(la2, lb2, lc2, math.sqrt))
     except ZeroDivisionError:
         # two sides so short that their squared product underflows
         raise DegenerateTriangle("triangle sides too short for an angle") from None
-    ca = 1.0 if ca > 1.0 else (-1.0 if ca < -1.0 else ca)
-    cb = 1.0 if cb > 1.0 else (-1.0 if cb < -1.0 else cb)
-    cc = 1.0 if cc > 1.0 else (-1.0 if cc < -1.0 else cc)
-    aa = math.acos(ca)
-    ab = math.acos(cb)
-    ac = math.acos(cc)
-    amin = min(aa, ab, ac)
+    if any(math.isnan(c) for c in cosines):
+        raise DegenerateTriangle("triangle sides too long for an angle")
+    # acos is decreasing: the extreme angles come from the extreme
+    # cosines, clamped against rounding
+    amin = math.acos(max(min(max(cosines), 1.0), -1.0))
     if amin <= 0.0:
         raise DegenerateTriangle("triangle with a zero angle")
-    return math.sqrt(max(la2, lb2, lc2) / lmin2) + max(aa, ab, ac) / amin
+    amax = math.acos(max(min(min(cosines), 1.0), -1.0))
+    return math.sqrt(max(la2, lb2, lc2) / lmin2) + amax / amin
 
 
 def triangle_quality_array(a, b, c):
@@ -107,11 +107,11 @@ def triangle_quality_array(a, b, c):
     operation order; NaN where the scalar version raises. Each
     intermediate is dropped once used, so at most about a dozen arrays
     of the output's shape are alive at once."""
-    la2 = _squared_side(b, c)
-    lb2 = _squared_side(c, a)
-    lc2 = _squared_side(a, b)
-    lmin2 = np.minimum(np.minimum(la2, lb2), lc2)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        la2 = _squared_side(b, c)
+        lb2 = _squared_side(c, a)
+        lc2 = _squared_side(a, b)
+        lmin2 = np.minimum(np.minimum(la2, lb2), lc2)
         ratio = np.sqrt(np.maximum(np.maximum(la2, lb2), lc2) / lmin2)
         flat = lmin2 <= 0.0
         del lmin2

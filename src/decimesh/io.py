@@ -244,5 +244,7 @@ def load_atoms(path):
 
 
 def save_atoms(atoms, path):
-    with open(str(path), "w", encoding="utf-8") as fh:
+    """Write the atoms as text; a path whose directory does not exist
+    raises ``InvalidConfig``."""
+    with open(_out_path(path, "atoms"), "w", encoding="utf-8") as fh:
         fh.write(write_atoms(atoms))

@@ -583,9 +583,10 @@ def _changed_normal_flips(mesh, v1, v2, vbar, changed):
     return flipped, nonpos
 
 
-def _apply_collapse(mesh, v1, v2, vbar, flipped, shared) -> CollapseRecord:
+def _apply_collapse(mesh, v1, v2, vbar, shared):
     """Bookkeeping of a collapse whose legality was already established;
-    ``shared`` is the two triangles of the edge."""
+    ``shared`` is the two triangles of the edge. Returns the sorted ids
+    of the removed and of the rewritten triangles."""
     vertex_tris = mesh._vertex_tris
     tris = mesh.triangles
     row_cache = mesh._row_cache
@@ -609,15 +610,7 @@ def _apply_collapse(mesh, v1, v2, vbar, flipped, shared) -> CollapseRecord:
     mesh._n_vertices -= 1
     mesh._n_faces -= 2
     mesh.vertices[v1] = vbar
-
-    return CollapseRecord(
-        v1=v1,
-        v2=v2,
-        placement=vbar,
-        removed_triangles=tuple(removed),
-        rewritten_triangles=tuple(rewritten),
-        flipped_triangles=tuple(sorted(flipped)),
-    )
+    return removed, rewritten
 
 
 def collapse_edge(mesh: TriangleMesh, v1, v2, vbar, warn_on_flip=True) -> CollapseRecord:
@@ -641,7 +634,9 @@ def collapse_edge(mesh: TriangleMesh, v1, v2, vbar, warn_on_flip=True) -> Collap
     shared = mesh._vertex_tris[v1] & mesh._vertex_tris[v2]
     changed = (mesh._vertex_tris[v1] | mesh._vertex_tris[v2]) - shared
     flipped, _ = _changed_normal_flips(mesh, v1, v2, vbar, changed)
-    record = _apply_collapse(mesh, v1, v2, vbar, flipped, shared)
+    removed, rewritten = _apply_collapse(mesh, v1, v2, vbar, shared)
+    record = CollapseRecord(v1, v2, vbar, tuple(removed), tuple(rewritten),
+                            tuple(sorted(flipped)))
     if flipped and warn_on_flip:
         warnings.warn(
             f"collapse ({v1}, {v2}) reversed normals of triangles {record.flipped_triangles}",

@@ -122,7 +122,8 @@ def minimize_quadric(q: Quadric, p1, p2):
     otherwise falls back to the discrete set. The returned point is
     always the cheapest of {midpoint, p1, p2, analytic candidate}, ties
     broken in that order, so it can never be worse than the discrete
-    fallbacks.
+    fallbacks; as in :func:`first_cheapest`, a NaN cost counts as
+    ``inf``, and the midpoint stands when no cost is below ``inf``.
     """
     c1, c2, c3, det, scale = _solve_terms(q, math.sqrt)
     analytic = None
@@ -136,9 +137,8 @@ def minimize_quadric(q: Quadric, p1, p2):
             t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
             analytic = _along(p1, t, d)
 
-    best = mid = midpoint(p1, p2)
-    best_cost = q.evaluate(mid)
-    for cand in (p1, p2, analytic):
+    best, best_cost = midpoint(p1, p2), math.inf
+    for cand in (best, p1, p2, analytic):
         if cand is None:
             continue
         c = q.evaluate(cand)
@@ -255,7 +255,12 @@ def candidate_set(p1, p2):
 
 def first_cheapest(cands, costs):
     """The first cheapest of (3, 4, E) candidates by their (4, E) costs,
-    as the scalar loops' strict ``<`` picks: (points (E, 3), costs (E,))."""
+    as the scalar loops' strict ``<`` picks: (points (E, 3), costs (E,)).
+
+    The one infeasibility rule: a NaN cost counts as ``inf``, so an edge
+    whose every cost is NaN or ``inf`` gets its midpoint at cost
+    ``inf``, which the Decimator drops as infeasible."""
+    costs = np.fmin(costs, np.inf)  # fmin takes the other operand for a NaN
     pick = costs.argmin(axis=0)
     edges = np.arange(len(pick))
     return cands[:, pick, edges].T, costs[pick, edges]
@@ -269,7 +274,10 @@ def minimize_packed(q, p1, p2):
     Returns (candidates (3, 4, E), costs (4, E)): the
     :func:`candidate_set` of the edges with the scalar result, bit for
     bit, branch choices and tie order included, in row 3, and the costs
-    there (``inf`` for a NaN cost but at the midpoint).
+    there. :func:`first_cheapest` picks row 3, so a NaN cost (at an
+    analytic point the scalar does not have, or where the form
+    overflows) counts as ``inf``, and row 3's cost is ``inf`` where no
+    candidate costs less.
     """
     q = tuple(np.ascontiguousarray(q.T))
     cands = candidate_set(p1, p2)
@@ -295,7 +303,6 @@ def minimize_packed(q, p1, p2):
         # Quadric.evaluate at each candidate; ties and NaN (no analytic
         # point) resolve as the scalar loop's strict "<" does
         costs = _quadric_value(q, cands)
-        costs[1:][np.isnan(costs[1:])] = np.inf
     point, costs[3] = first_cheapest(cands, costs)
     analytic[:] = point.T
     return cands, costs

@@ -144,7 +144,7 @@ def nonpositive_normals(mesh, a, b, vbar):
 
 def greedy_audit(dec):
     """An ``audit`` for ``dec.run`` and the list it fills, one entry per
-    commit: the committed candidate; the cheapest fresh cost over every
+    commit: the commit's ``TraceRecord``; the cheapest fresh cost over every
     edge that ``can_collapse`` allows and whose placement reverses no
     normal; and whether the committed edge's fresh ``dec.candidate``
     equals the committed placement and cost bit for bit."""

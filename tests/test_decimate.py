@@ -14,11 +14,12 @@ from decimesh import (
     decimate,
     grid_build,
     nonpolar_energy,
+    placement_for,
     validate,
 )
 from decimesh.decimate import DecimationConfig, Decimator, _edge_keys
-from decimesh.errors import InvalidConfig, InvalidInput, MissingAtoms
-from decimesh.mesh import quality_summary
+from decimesh.errors import CandidateInfeasible, InvalidConfig, InvalidInput, MissingAtoms
+from decimesh.mesh import edge_star, quality_summary
 from decimesh.shapes import icosphere, octahedron, tetrahedron
 
 from conftest import (
@@ -324,6 +325,53 @@ def test_audit_sees_greedy_minimum():
         assert not [(cand.v1, cand.v2, cand.cost, best) for cand, best, _ in seen
                     if cand.cost > best + 1e-12 * (1.0 + abs(best))]
         assert all(same for _, _, same in seen)
+
+
+def test_audit_sees_the_trace_record():
+    """``audit`` gets the very record the trace then appends, with the
+    face count after the commit and the flip count, for a planted
+    flipping commit and the greedy ones after it."""
+    mesh = icosphere(1, radius=2.0)
+    mesh.vertices += np.random.default_rng(6).normal(scale=0.02, size=mesh.vertices.shape)
+    dec = Decimator(mesh, DecimationConfig(cost_kind="qe", target_faces=40, veto_flips=False))
+    greedy, seen = greedy_audit(dec)
+    faces = []
+
+    def audit(m, record):
+        faces.append(m.n_faces)
+        greedy(m, record)
+
+    dec.build_queue()
+    a, b = next(mesh.edges())
+    far = tuple((-3.0 * mesh.vertices[a]).tolist())
+    plant(dec, a, b, far)
+    while mesh.n_faces > 40:
+        assert dec.step(audit=audit) is not None
+    records = dec.trace.records
+    assert len(seen) == len(records) == 20
+    assert all(cand is record for (cand, _, _), record in zip(seen, records))
+    assert [r.faces_after for r in records] == [f - 2 for f in faces]
+    assert records[0].placement == far and records[0].flipped > 0
+    assert [r.flipped for r in records[1:]] == [0] * 19
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_no_nan_cost_is_queued():
+    """On a sphere of radius 1e60 every vol form overflows, so every
+    cost is NaN: NaN counts as inf, so the queue holds no entry, rather
+    than every edge at NaN in whatever order NaN comparisons give, and
+    the scalar oracle finds no placement either."""
+    cfg = DecimationConfig(cost_kind="vol", target_faces=200)
+    dec = Decimator(icosphere(2, radius=1e60), cfg)
+    dec.build_queue()
+    assert not [e for e in dec._heap if math.isnan(e[0])]
+    mesh, trace = decimate(icosphere(2, radius=1e60), cfg)
+    assert trace.queue_exhausted
+    assert trace.n_collapses == 0
+    assert trace.rejections == {"infeasible_candidate": 480}
+    with pytest.raises(CandidateInfeasible):
+        placement_for("vol", edge_star(mesh, *next(mesh.edges())))
 
 
 def test_mesh_is_mutated_in_place():

@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import permutations
 
 import numpy as np
@@ -162,8 +163,11 @@ def _near_coincident(draw):
 
 
 _lattice = st.tuples(*[st.tuples(*[st.integers(-2, 2).map(float)] * 3)] * 3)
+# coordinates up to 1e155, where squared sides overflow and cosines turn NaN
+_huge_coord = st.builds(lambda x, e: x * 10.0 ** e, st.floats(-1.0, 1.0), st.floats(150.0, 155.0))
+_huge = st.tuples(*[st.tuples(_huge_coord, _huge_coord, _huge_coord)] * 3)
 _triangles = st.one_of(
-    st.tuples(_point, _point, _point), _sliver(), _near_coincident(), _lattice
+    st.tuples(_point, _point, _point), _sliver(), _near_coincident(), _lattice, _huge
 )
 
 
@@ -191,3 +195,19 @@ def test_quality_twins_agree_under_every_corner_order(tri):
             assert math.isnan(q)
         else:
             assert q == pytest.approx(s, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("tri", [
+    ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1e-160, 1e-170, 0.0)),
+    ((0.0, 0.0, 0.0), (1e155, 0.0, 0.0), (0.0, 1e155, 0.0)),
+])
+def test_quality_array_does_not_warn_where_it_gives_nan(tri):
+    """A side ratio or squared side that overflows is NaN, or a raise
+    in the scalar, without a ``RuntimeWarning``."""
+    a, b, c = np.array(tri)[:, :, None]  # (3, 1) per corner
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = geometry.triangle_quality_array(a, b, c)
+    assert math.isnan(q[0])
+    with pytest.raises(DegenerateTriangle):
+        geometry.triangle_quality(*tri)

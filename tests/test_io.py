@@ -234,6 +234,15 @@ def test_loaders_reject_binary_files_naming_the_path(tmp_path, load, name):
         load(path)
 
 
+def test_save_atoms_into_a_missing_directory_is_invalid_config(tmp_path):
+    """As for ``save_mesh``: a typed error naming the path, not a bare
+    ``FileNotFoundError``, and no file written."""
+    path = tmp_path / "missing" / "mol.atoms"
+    with pytest.raises(InvalidConfig, match=re.escape(str(path))):
+        save_atoms(parse_atoms("0 0 0 1.0 1.5\n"), path)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("name", ["tet.obj", "TET.OBJ", "missing/tet.off"])
 def test_save_mesh_writes_only_off_into_an_existing_directory(tmp_path, name):
     """OBJ is read-only: a mesh saved as OFF text under an ``.obj`` name

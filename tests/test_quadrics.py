@@ -152,6 +152,20 @@ def packed_form(A, b, c=0.0):
 SOLVE_RTOL = 1e-9
 
 
+def test_nan_midpoint_cost_counts_as_inf():
+    """A midpoint that overflows to inf costs NaN under a form with a
+    zero x row; NaN counts as inf, so both minimizers pick the same
+    finite endpoint, bit for bit, and not the infinite midpoint."""
+    q = Quadric(0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0)  # (y + 1)^2
+    p1, p2 = (1e308, 0.0, 0.0), (1e308, 1.0, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(q.evaluate((0.5 * (p1[0] + p2[0]), 0.5, 0.0)))
+        cands, costs = minimize_packed(np.array([q]), np.array([p1]), np.array([p2]))
+    assert minimize_quadric(q, p1, p2) == p1
+    assert cands[:, 3, 0].tolist() == list(p1)
+    assert costs[3, 0] == 1.0
+
+
 def test_stationary_point_equals_linear_solve():
     rng = np.random.default_rng(31)
     forms, ends, want = [], [], []
